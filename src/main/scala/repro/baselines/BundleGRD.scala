@@ -36,18 +36,19 @@ object BundleGRD {
       b.result()
     }
 
+    val frozen = FrozenSpread.instance(inst, frozenHops)
     val selected = Vector.newBuilder[Nominee]
     var chosen = Vector.empty[Nominee]
     var spent = 0.0
     var remaining = users
     var go = true
     while (go && remaining.nonEmpty) {
-      val fChosen = if (chosen.isEmpty) 0.0 else FrozenSpread.sigma(inst, chosen, frozenHops)
+      val fChosen = if (chosen.isEmpty) 0.0 else FrozenSpread.sigmaOn(frozen, chosen)
       val cands = remaining.map { u =>
         val bundle = bundleOf(u, inst.budget - spent)
         val gain =
           if (bundle.isEmpty) 0.0
-          else FrozenSpread.sigma(inst, chosen ++ bundle, frozenHops) - fChosen
+          else FrozenSpread.sigmaOn(frozen, chosen ++ bundle) - fChosen
         (u, bundle, gain)
       }
       val (u, bundle, gain) = cands.maxBy(c => (c._3, -c._1))

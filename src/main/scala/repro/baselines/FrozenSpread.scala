@@ -14,8 +14,14 @@ object FrozenSpread {
   def instance(inst: ProblemInstance, hops: Int): ProblemInstance =
     inst.withParams(inst.params.frozen.copy(maxSteps = hops)).withT(1)
 
+  /** f on an instance built once by [[instance]] (selection loops call
+    * this, so each evaluation skips the instance rebuild).
+    */
+  def sigmaOn(frozen: ProblemInstance, nominees: Iterable[Nominee]): Double =
+    LocalDiffusion.sigma(frozen, nominees.map(n => Seed(n.user, n.item, 1)).toSeq)
+
   def sigma(inst: ProblemInstance, nominees: Iterable[Nominee], hops: Int = 3): Double =
-    LocalDiffusion.sigma(instance(inst, hops), nominees.map(n => Seed(n.user, n.item, 1)).toSeq)
+    sigmaOn(instance(inst, hops), nominees)
 }
 
 /** CELF lazy greedy [21] for budgeted submodular-style selection.

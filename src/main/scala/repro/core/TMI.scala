@@ -83,7 +83,8 @@ object TMI {
     */
   def selectNominees(inst: ProblemInstance, cfg: Config): Vector[Nominee] = {
     val pool = candidatePool(inst, cfg)
-    def f(set: Iterable[Nominee]): Double = FrozenSpread.sigma(inst, set, cfg.frozenHops)
+    val frozen = FrozenSpread.instance(inst, cfg.frozenHops)
+    def f(set: Iterable[Nominee]): Double = FrozenSpread.sigmaOn(frozen, set)
     // singleton gains computed once, shared by CELF's first round and the
     // knapsack correction below
     val singles: Map[Nominee, Double] = pool.iterator.map(n => n -> f(Seq(n))).toMap

@@ -52,9 +52,32 @@ final case class Params(
     eps: Double = 1e-4) {
   require(actCap < 1.0 && actCap > 0.0, "actCap must be in (0,1)")
   require(maxSteps >= 1, "maxSteps must be >= 1")
+  // the diffusion's zero-rate fast paths rely on 0 · rate-term being ±0
+  Seq("eta" -> eta, "beta" -> beta, "gamma" -> gamma, "extraScale" -> extraScale).foreach { case (name, r) =>
+    require(r >= 0.0 && r < Double.PositiveInfinity, s"$name must be finite and >= 0, got $r")
+  }
+  require(eps >= 0.0, s"eps must be >= 0, got $eps")
 
   /** The frozen variant: no perception/preference/influence updates. */
   def frozen: Params = copy(eta = 0.0, beta = 0.0, gamma = 0.0)
+}
+
+/** One meta-graph's positive relevance entries s(x,y) with x < y, as three
+  * parallel arrays in row-major (x, then y) order.
+  */
+final class MetaPairs(val x: Array[Int], val y: Array[Int], val s: Array[Double]) extends Serializable {
+  def length: Int = s.length
+  def isEmpty: Boolean = s.isEmpty
+  def nonEmpty: Boolean = s.nonEmpty
+  def toSeq: Seq[(Int, Int, Double)] = s.indices.map(i => (x(i), y(i), s(i)))
+}
+
+/** One meta-graph's relevance as compressed rows: item x's neighbours y and
+  * their s(x,y) are `nbr(j)`, `s(j)` for j in `start(x) until start(x + 1)`,
+  * in [[MetaPairs]] order.
+  */
+final class MetaNbrs(val start: Array[Int], val nbr: Array[Int], val s: Array[Double]) extends Serializable {
+  def apply(x: Int): Seq[(Int, Double)] = (start(x) until start(x + 1)).map(j => (nbr(j), s(j)))
 }
 
 /** A driver-local IMDPP instance: everything the diffusion engines and the
@@ -96,32 +119,43 @@ final case class ProblemInstance(
 
   val nMeta: Int = metaKinds.length
 
-  /** Sparse (x, y, s) pair list per meta-graph with x < y and s > 0 —
-    * the hot loops of both diffusion engines iterate these instead of the
-    * dense matrices.
+  /** Sparse pair list per meta-graph: the entries (x, y, s) with x < y and
+    * s > 0 in row-major order — the hot loops of both diffusion engines
+    * iterate these instead of the dense matrices.
     */
-  val metaPairs: Vector[Array[(Int, Int, Double)]] = metaS.map { m =>
-    val b = Array.newBuilder[(Int, Int, Double)]
+  val metaPairs: Vector[MetaPairs] = metaS.map { m =>
+    val xs = Array.newBuilder[Int]
+    val ys = Array.newBuilder[Int]
+    val ss = Array.newBuilder[Double]
     var x = 0
     while (x < nItems) {
       var y = x + 1
       while (y < nItems) {
-        if (m(x)(y) > 0.0) b += ((x, y, m(x)(y)))
+        if (m(x)(y) > 0.0) { xs += x; ys += y; ss += m(x)(y) }
         y += 1
       }
       x += 1
     }
-    b.result()
+    new MetaPairs(xs.result(), ys.result(), ss.result())
   }
 
   /** Sparse neighbor lists per meta-graph: `metaNbrs(m)(x)` lists (y, s)
     * with s(x,y|m) > 0 — symmetric expansion of [[metaPairs]] used by the
     * extra-adoption inner loop.
     */
-  lazy val metaNbrs: Vector[Array[Array[(Int, Double)]]] = metaPairs.map { pairs =>
-    val builders = Array.fill(nItems)(Array.newBuilder[(Int, Double)])
-    pairs.foreach { case (x, y, s) => builders(x) += ((y, s)); builders(y) += ((x, s)) }
-    builders.map(_.result())
+  lazy val metaNbrs: Vector[MetaNbrs] = metaPairs.map { pairs =>
+    val start = new Array[Int](nItems + 1)
+    var i = 0
+    while (i < pairs.length) { start(pairs.x(i) + 1) += 1; start(pairs.y(i) + 1) += 1; i += 1 }
+    var x = 0
+    while (x < nItems) { start(x + 1) += start(x); x += 1 }
+    val fill = start.clone()
+    val nbr = new Array[Int](start(nItems))
+    val s = new Array[Double](start(nItems))
+    def put(x: Int, y: Int, sxy: Double): Unit = { nbr(fill(x)) = y; s(fill(x)) = sxy; fill(x) += 1 }
+    i = 0
+    while (i < pairs.length) { put(pairs.x(i), pairs.y(i), pairs.s(i)); put(pairs.y(i), pairs.x(i), pairs.s(i)); i += 1 }
+    new MetaNbrs(start, nbr, s)
   }
 
   def totalCost(seeds: Iterable[Seed]): Double =

@@ -27,8 +27,41 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *
   * `mask` (if given) restricts the diffusion to the induced subgraph of the
   * masked users (used for per-target-market evaluations σ^τ in TDSI).
+  *
+  * Exact fast paths (DESIGN.md Sec. 4). The simulator skips only work whose
+  * result cannot change a bit of `a`, `w` or `steps`:
+  *  - zero rates (`Params.frozen` and any rate set to 0): with γ = 0 the
+  *    similarity is not computed (P_act = base + 0·sim = base); with β = 0
+  *    the cross-elasticity is not computed (P_pref = base + 0·contrib); with
+  *    η = 0 the normalized weighting is computed once per run and copied to
+  *    each touched user (w0 + 0·e = w0 for every evidence e). `Params`
+  *    requires the rates to be finite and non-negative, so 0·x is ±0 and
+  *    adding it changes nothing;
+  *  - sparse similarity: each user's adopted items are kept in ascending
+  *    order and ⟨a_u, a_v⟩ is summed over the shorter list in that order
+  *    ([[repro.dynamics.Dynamics.sparseSim]]); every skipped term is +0;
+  *  - per-step state lives in reused primitive buffers. Each user's deltas
+  *    within a step depend only on last step's state and its own row, so a
+  *    receiver's deltas are applied as soon as they are computed; every sum
+  *    and product keeps the order of the dense formulation.
   */
 object LocalDiffusion {
+
+  /** Per-user (item, delta) lists of one step, in ascending item order. */
+  private final class Deltas(n: Int, nI: Int) {
+    val item = new Array[Array[Int]](n)
+    val delta = new Array[Array[Double]](n)
+    val len = new Array[Int](n)
+
+    def add(v: Int, x: Int, d: Double): Unit = {
+      if (item(v) == null) { item(v) = new Array[Int](nI); delta(v) = new Array[Double](nI) }
+      item(v)(len(v)) = x
+      delta(v)(len(v)) = d
+      len(v) += 1
+    }
+
+    def clear(): Unit = java.util.Arrays.fill(len, 0)
+  }
 
   def run(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]] = None): DiffusionResult = {
     seeds.foreach { s =>
@@ -37,162 +70,199 @@ object LocalDiffusion {
     }
     val n = inst.nUsers
     val nI = inst.nItems
-    val active: Int => Boolean = mask match {
-      case Some(mk) => v => mk(v)
-      case None     => _ => true
-    }
+    val p = inst.params
+    val mk = mask.orNull
+    def active(v: Int): Boolean = mk == null || mk(v)
     val a = Array.fill(n)(new Array[Double](nI))
-    val w = Array.fill(n)(Dynamics.initUserWeights(inst))
+    val w0 = Dynamics.initUserWeights(inst)
+    val w = Array.fill(n)(w0.clone())
     val sumA = new Array[Double](n)
-    val seedsByT = seeds.groupBy(_.t)
-    var totalSteps = 0
+    val cMeta = inst.cMeta.toArray
+    val cNbrs = cMeta.map(inst.metaNbrs)
 
-    // last step's applied deltas, stored sparsely per user
-    var lastDelta: Array[List[(Int, Double)]] = Array.fill(n)(Nil)
+    // zero-rate fast paths (see the object doc)
+    val useSim = p.gamma != 0.0
+    val usePref = p.beta != 0.0
+    val frozenW: Array[Double] =
+      if (p.eta != 0.0) null
+      else { val fw = new Array[Double](inst.nMeta); Dynamics.updateUserWeights(inst, new Array[Double](nI), fw); fw }
 
-    def applyDeltas(raw: Array[Array[Double]]): (Array[List[(Int, Double)]], Double) = {
-      val applied = Array.fill[List[(Int, Double)]](n)(Nil)
+    // ascending adopted-item lists, for the sparse similarity
+    val support = if (useSim) new Array[Array[Int]](n) else null
+    val supportLen = new Array[Int](n)
+
+    // applies the raw deltas of user v (zeroing `raw`), records them in
+    // `out` and returns the largest one
+    def applyRow(v: Int, raw: Array[Double], out: Deltas): Double = {
+      val av = a(v)
       var maxD = 0.0
-      var v = 0
-      while (v < n) {
-        val rv = raw(v)
-        if (rv != null) {
-          var x = 0
-          var touched = false
-          while (x < nI) {
-            if (rv(x) > 0.0) {
-              val d = math.min(rv(x), 1.0 - a(v)(x))
-              if (d > 0.0) {
-                a(v)(x) += d
-                sumA(v) += d
-                applied(v) = (x, d) :: applied(v)
-                if (d > maxD) maxD = d
-                touched = true
-              }
+      var touched = false
+      var x = 0
+      while (x < nI) {
+        val r = raw(x)
+        raw(x) = 0.0
+        if (r > 0.0) {
+          val d = math.min(r, 1.0 - av(x))
+          if (d > 0.0) {
+            if (useSim && av(x) == 0.0) {
+              if (support(v) == null) support(v) = new Array[Int](nI)
+              val sv = support(v)
+              var k = supportLen(v)
+              while (k > 0 && sv(k - 1) > x) { sv(k) = sv(k - 1); k -= 1 }
+              sv(k) = x
+              supportLen(v) += 1
             }
-            x += 1
-          }
-          if (touched) w(v) = {
-            val nw = new Array[Double](inst.nMeta)
-            Dynamics.updateUserWeights(inst, a(v), nw)
-            nw
+            av(x) += d
+            sumA(v) += d
+            out.add(v, x, d)
+            if (d > maxD) maxD = d
+            touched = true
           }
         }
-        v += 1
+        x += 1
       }
-      (applied, maxD)
+      if (touched) {
+        if (frozenW != null) System.arraycopy(frozenW, 0, w(v), 0, frozenW.length)
+        else Dynamics.updateUserWeights(inst, av, w(v))
+      }
+      maxD
     }
+
+    val seedsByT = seeds.groupBy(_.t)
+    val raw = new Array[Double](nI)
+    val notProm = new Array[Array[Double]](n)
+    val receivers = new Array[Int](n)
+    var last = new Deltas(n, nI)
+    var next = new Deltas(n, nI)
+    var totalSteps = 0
 
     var t = 1
     while (t <= inst.T) {
       // ζ_t = 0: seed adoptions
-      val seedRaw = new Array[Array[Double]](n)
-      seedsByT.getOrElse(t, Nil).foreach { s =>
-        if (active(s.user)) {
-          if (seedRaw(s.user) == null) seedRaw(s.user) = new Array[Double](nI)
-          seedRaw(s.user)(s.item) = math.max(seedRaw(s.user)(s.item), 1.0 - a(s.user)(s.item))
-        }
+      next.clear()
+      var seedMax = 0.0
+      seedsByT.getOrElse(t, Nil).filter(s => active(s.user)).groupBy(_.user).toSeq.sortBy(_._1).foreach {
+        case (v, vs) =>
+          vs.foreach(s => raw(s.item) = math.max(raw(s.item), 1.0 - a(v)(s.item)))
+          seedMax = math.max(seedMax, applyRow(v, raw, next))
       }
-      val (_, seedMax) = applyDeltas(seedRaw)
       // each promotion re-diffuses from every current adopter (multi-round
       // IM semantics of [5], which the paper follows): the round's frontier
       // carries the full adoption mass (seeds now included in `a`), so
       // later rounds retry the influence attempts that failed earlier
-      val frontier = Array.tabulate[List[(Int, Double)]](n) { v =>
-        if (!active(v)) Nil
-        else {
-          var l = List.empty[(Int, Double)]
+      last.clear()
+      var frontier = false
+      var v = 0
+      while (v < n) {
+        if (active(v) && sumA(v) > 0.0) {
+          val av = a(v)
           var x = 0
-          while (x < nI) {
-            if (a(v)(x) > 0.0) l = (x, a(v)(x)) :: l
-            x += 1
-          }
-          l
+          while (x < nI) { if (av(x) > 0.0) last.add(v, x, av(x)); x += 1 }
+          frontier = true
         }
+        v += 1
       }
-      lastDelta = frontier
-      var moving = seedMax > 0.0 || frontier.exists(_.nonEmpty)
+      var moving = seedMax > 0.0 || frontier
 
       var step = 0
-      while (moving && step < inst.params.maxSteps) {
+      while (moving && step < p.maxSteps) {
         step += 1
         totalSteps += 1
         // 1 - Π(1 - Δa(u',x)·P_act(u',v)) accumulated multiplicatively
-        val notProm = new Array[Array[Double]](n)
-        var v = 0
+        var nRecv = 0
+        v = 0
         while (v < n) {
           if (active(v)) {
             val nbrs = inst.inNbr(v)
+            var np: Array[Double] = null
             var i = 0
             while (i < nbrs.length) {
               val u = nbrs(i)
-              if (active(u) && lastDelta(u).nonEmpty) {
-                val actUV =
-                  Dynamics.act(inst, inst.inAct(v)(i), Dynamics.sim(a(u), a(v), sumA(u), sumA(v)))
-                lastDelta(u).foreach { case (x, d) =>
-                  if (notProm(v) == null) { notProm(v) = Array.fill(nI)(1.0) }
-                  notProm(v)(x) *= (1.0 - d * actUV)
+              val len = last.len(u)
+              if (len > 0 && active(u)) {
+                val similarity =
+                  if (!useSim) 0.0
+                  else if (supportLen(u) <= supportLen(v)) Dynamics.sparseSim(support(u), supportLen(u), a(u), a(v), sumA(u), sumA(v))
+                  else Dynamics.sparseSim(support(v), supportLen(v), a(u), a(v), sumA(u), sumA(v))
+                val actUV = Dynamics.act(inst, inst.inAct(v)(i), similarity)
+                if (np == null) {
+                  if (notProm(v) == null) notProm(v) = new Array[Double](nI)
+                  np = notProm(v)
+                  java.util.Arrays.fill(np, 1.0)
+                  receivers(nRecv) = v
+                  nRecv += 1
                 }
+                val xs = last.item(u)
+                val ds = last.delta(u)
+                var k = 0
+                while (k < len) { np(xs(k)) *= (1.0 - ds(k) * actUV); k += 1 }
               }
               i += 1
             }
           }
           v += 1
         }
-        // adoption + extra-adoption deltas
-        val raw = new Array[Array[Double]](n)
-        v = 0
-        while (v < n) {
+        // adoption + extra-adoption deltas, applied per receiver
+        next.clear()
+        var maxD = 0.0
+        var r = 0
+        while (r < nRecv) {
+          v = receivers(r)
           val np = notProm(v)
-          if (np != null) {
-            val contrib = Dynamics.prefContrib(inst, w(v), a(v))
-            val rv = new Array[Double](nI)
-            var x = 0
-            while (x < nI) {
-              if (np(x) < 1.0) {
-                val q = 1.0 - np(x)
-                val pPref = Dynamics.pref(inst, inst.basePref(v)(x), contrib(x))
-                rv(x) += (1.0 - a(v)(x)) * q * pPref
-                // item associations: P_ext = q · P_pref(x) · r^C(v,x,y) · scale,
-                // with the total association mass of one promotion event
-                // bounded by q · P_pref · scale (the r^C row is normalized to
-                // sum <= 1 — DESIGN.md Sec. 4; keeps dense complementary
-                // catalogs from exploding super-linearly under bundles)
-                val base = q * pPref * inst.params.extraScale
-                if (base > 0.0) {
-                  var rowSum = 0.0
-                  inst.cMeta.foreach { m =>
-                    val wm = w(v)(m)
-                    if (wm > 0.0) {
-                      val nbrs = inst.metaNbrs(m)(x)
-                      var j = 0
-                      while (j < nbrs.length) { rowSum += wm * nbrs(j)._2; j += 1 }
+          val av = a(v)
+          val wv = w(v)
+          val contrib = if (usePref) Dynamics.prefContrib(inst, wv, av) else null
+          var x = 0
+          while (x < nI) {
+            if (np(x) < 1.0) {
+              val q = 1.0 - np(x)
+              val pPref = Dynamics.pref(inst, inst.basePref(v)(x), if (usePref) contrib(x) else 0.0)
+              raw(x) += (1.0 - av(x)) * q * pPref
+              // item associations: P_ext = q · P_pref(x) · r^C(v,x,y) · scale,
+              // with the total association mass of one promotion event
+              // bounded by q · P_pref · scale (the r^C row is normalized to
+              // sum <= 1 — DESIGN.md Sec. 4; keeps dense complementary
+              // catalogs from exploding super-linearly under bundles)
+              val base = q * pPref * p.extraScale
+              if (base > 0.0) {
+                var rowSum = 0.0
+                var c = 0
+                while (c < cMeta.length) {
+                  val wm = wv(cMeta(c))
+                  if (wm > 0.0) {
+                    val ss = cNbrs(c).s
+                    var j = cNbrs(c).start(x)
+                    val end = cNbrs(c).start(x + 1)
+                    while (j < end) { rowSum += wm * ss(j); j += 1 }
+                  }
+                  c += 1
+                }
+                val factor = if (rowSum > 1.0) 1.0 / rowSum else 1.0
+                c = 0
+                while (c < cMeta.length) {
+                  val wm = wv(cMeta(c))
+                  if (wm > 0.0) {
+                    val ys = cNbrs(c).nbr
+                    val ss = cNbrs(c).s
+                    var j = cNbrs(c).start(x)
+                    val end = cNbrs(c).start(x + 1)
+                    while (j < end) {
+                      val y = ys(j)
+                      raw(y) += (1.0 - av(y)) * base * factor * wm * ss(j)
+                      j += 1
                     }
                   }
-                  val factor = if (rowSum > 1.0) 1.0 / rowSum else 1.0
-                  inst.cMeta.foreach { m =>
-                    val wm = w(v)(m)
-                    if (wm > 0.0) {
-                      val nbrs = inst.metaNbrs(m)(x)
-                      var j = 0
-                      while (j < nbrs.length) {
-                        val (y, s) = nbrs(j)
-                        rv(y) += (1.0 - a(v)(y)) * base * factor * wm * s
-                        j += 1
-                      }
-                    }
-                  }
+                  c += 1
                 }
               }
-              x += 1
             }
-            raw(v) = rv
+            x += 1
           }
-          v += 1
+          maxD = math.max(maxD, applyRow(v, raw, next))
+          r += 1
         }
-        val (applied, maxD) = applyDeltas(raw)
-        lastDelta = applied
-        moving = maxD > inst.params.eps
+        val swap = last; last = next; next = swap
+        moving = maxD > p.eps
       }
       t += 1
     }
@@ -223,33 +293,41 @@ object LocalDiffusion {
 
   /** Future-adoption likelihood π (Eq. 7) of the end state:
     * Σ_v Σ_y (1−a(v,y)) · AIS(v,y) · P_pref(v,y), with the IC form of AIS
-    * (footnote 22) evaluated mean-field.
+    * (footnote 22) evaluated mean-field. Each arc's P_act is computed once
+    * (it does not depend on y), and the zero-rate paths of [[run]] apply.
     */
   def pi(inst: ProblemInstance, res: DiffusionResult, countMask: Option[Array[Boolean]] = None): Double = {
-    val sumA = res.a.map(_.sum)
+    val useSim = inst.params.gamma != 0.0
+    val usePref = inst.params.beta != 0.0
+    val sumA = if (useSim) res.a.map(_.sum) else null
     var acc = 0.0
     var v = 0
     while (v < inst.nUsers) {
       if (countMask.forall(_(v))) {
-        val contrib = Dynamics.prefContrib(inst, res.w(v), res.a(v))
+        val av = res.a(v)
+        val contrib = if (usePref) Dynamics.prefContrib(inst, res.w(v), av) else null
+        val nbrs = inst.inNbr(v)
+        val act = Array.fill(nbrs.length)(Double.NaN) // filled on first use
         var y = 0
         while (y < inst.nItems) {
-          val remain = 1.0 - res.a(v)(y)
+          val remain = 1.0 - av(y)
           if (remain > 1e-12) {
             var not = 1.0
-            val nbrs = inst.inNbr(v)
             var i = 0
             while (i < nbrs.length) {
-              val u = nbrs(i)
-              if (res.a(u)(y) > 0.0) {
-                val actUV =
-                  Dynamics.act(inst, inst.inAct(v)(i), Dynamics.sim(res.a(u), res.a(v), sumA(u), sumA(v)))
-                not *= (1.0 - res.a(u)(y) * actUV)
+              val au = res.a(nbrs(i))
+              if (au(y) > 0.0) {
+                if (act(i).isNaN) {
+                  val similarity = if (useSim) Dynamics.sim(au, av, sumA(nbrs(i)), sumA(v)) else 0.0
+                  act(i) = Dynamics.act(inst, inst.inAct(v)(i), similarity)
+                }
+                not *= (1.0 - au(y) * act(i))
               }
               i += 1
             }
             val ais = 1.0 - not
-            if (ais > 0.0) acc += remain * ais * Dynamics.pref(inst, inst.basePref(v)(y), contrib(y))
+            if (ais > 0.0)
+              acc += remain * ais * Dynamics.pref(inst, inst.basePref(v)(y), if (usePref) contrib(y) else 0.0)
           }
           y += 1
         }

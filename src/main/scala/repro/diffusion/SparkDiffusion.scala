@@ -43,7 +43,7 @@ object SparkDiffusion {
     } yield (v, x, inst.basePref(v)(x))).toDF("user", "item", "bp").cache()
     val pairs = (for {
       m <- 0 until inst.nMeta
-      (x, y, s) <- inst.metaPairs(m)
+      (x, y, s) <- inst.metaPairs(m).toSeq
     } yield (m, inst.metaKinds(m).sign, inst.cMeta.contains(m), x, y, s))
       .toDF("meta", "sign", "isC", "x", "y", "s")
       .cache()

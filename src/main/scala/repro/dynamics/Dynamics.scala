@@ -27,11 +27,13 @@ object Dynamics {
     */
   def evidence(inst: ProblemInstance, a: Array[Double], m: Int): Double = {
     val pairs = inst.metaPairs(m)
+    val xs = pairs.x
+    val ys = pairs.y
+    val ss = pairs.s
     var e = 0.0
     var i = 0
-    while (i < pairs.length) {
-      val (x, y, s) = pairs(i)
-      e += a(x) * a(y) * s
+    while (i < ss.length) {
+      e += a(xs(i)) * a(ys(i)) * ss(i)
       i += 1
     }
     e
@@ -42,13 +44,24 @@ object Dynamics {
     * uniform initial weights.
     */
   def updateUserWeights(inst: ProblemInstance, a: Array[Double], out: Array[Double]): Unit = {
+    normalizeClass(inst, inst.cMeta, a, out)
+    normalizeClass(inst, inst.sMeta, a, out)
+  }
+
+  private def normalizeClass(inst: ProblemInstance, metas: Vector[Int], a: Array[Double], out: Array[Double]): Unit = {
     val p = inst.params
-    var cSum = 0.0
-    var sSum = 0.0
-    inst.cMeta.foreach { m => out(m) = p.w0 + p.eta * evidence(inst, a, m); cSum += out(m) }
-    inst.sMeta.foreach { m => out(m) = p.w0 + p.eta * evidence(inst, a, m); sSum += out(m) }
-    if (cSum > 0.0) inst.cMeta.foreach(m => out(m) /= cSum)
-    if (sSum > 0.0) inst.sMeta.foreach(m => out(m) /= sSum)
+    var sum = 0.0
+    var k = 0
+    while (k < metas.length) {
+      val m = metas(k)
+      out(m) = p.w0 + p.eta * evidence(inst, a, m)
+      sum += out(m)
+      k += 1
+    }
+    if (sum > 0.0) {
+      k = 0
+      while (k < metas.length) { out(metas(k)) /= sum; k += 1 }
+    }
   }
 
   /** Personal relevance r^C(u,x,y) = Σ_{m∈C} W(u,m)·s(x,y|m). */
@@ -77,11 +90,15 @@ object Dynamics {
       val wm = w(m) * inst.metaKinds(m).sign
       if (wm != 0.0) {
         val pairs = inst.metaPairs(m)
+        val xs = pairs.x
+        val ys = pairs.y
+        val ss = pairs.s
         var i = 0
-        while (i < pairs.length) {
-          val (x, y, s) = pairs(i)
-          contrib(y) += wm * a(x) * s
-          contrib(x) += wm * a(y) * s
+        while (i < ss.length) {
+          val x = xs(i)
+          val y = ys(i)
+          contrib(y) += wm * a(x) * ss(i)
+          contrib(x) += wm * a(y) * ss(i)
           i += 1
         }
       }
@@ -101,6 +118,22 @@ object Dynamics {
     var dot = 0.0
     var i = 0
     while (i < aU.length) { dot += aU(i) * aV(i); i += 1 }
+    jaccard(dot, sumU, sumV)
+  }
+
+  /** [[sim]] with the dot product summed only over `support(0 until len)`,
+    * the ascending indices at which `aU` (or `aV`) is non-zero. Bit-identical
+    * to [[sim]] on non-negative vectors: every skipped term is `+0.0`, and the
+    * kept terms are added in the same ascending order.
+    */
+  def sparseSim(support: Array[Int], len: Int, aU: Array[Double], aV: Array[Double], sumU: Double, sumV: Double): Double = {
+    var dot = 0.0
+    var k = 0
+    while (k < len) { val i = support(k); dot += aU(i) * aV(i); k += 1 }
+    jaccard(dot, sumU, sumV)
+  }
+
+  private def jaccard(dot: Double, sumU: Double, sumV: Double): Double = {
     val denom = sumU + sumV - dot + 1e-9
     if (denom <= 0.0) 0.0 else dot / denom
   }

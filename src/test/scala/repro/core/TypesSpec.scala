@@ -21,6 +21,18 @@ class TypesSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](Params(maxSteps = 0))
   }
 
+  test("Params rejects negative or non-finite rates and a negative eps") {
+    for (bad <- Seq(-0.1, Double.NaN, Double.PositiveInfinity)) {
+      assertThrows[IllegalArgumentException](Params(eta = bad))
+      assertThrows[IllegalArgumentException](Params(beta = bad))
+      assertThrows[IllegalArgumentException](Params(gamma = bad))
+      assertThrows[IllegalArgumentException](Params(extraScale = bad))
+    }
+    assertThrows[IllegalArgumentException](Params(eps = -1e-6))
+    assertThrows[IllegalArgumentException](Params(eps = Double.NaN))
+    Params(eta = 0.0, beta = 0.0, gamma = 0.0, extraScale = 0.0, eps = 0.0) // zero is allowed
+  }
+
   test("cMeta/sMeta index the kinds correctly") {
     val inst = TestInstances.random(1L)
     assert(inst.cMeta.forall(m => inst.metaKinds(m) == RelKind.Complementary))
@@ -39,6 +51,14 @@ class TypesSpec extends AnyFunSuite {
     val inst = TestInstances.line3
     assert(inst.metaNbrs(0)(0).toSeq == Seq((1, 0.8)))
     assert(inst.metaNbrs(0)(1).toSeq == Seq((0, 0.8)))
+    val r = TestInstances.random(3L, nUsers = 4, nItems = 9)
+    for (m <- 0 until r.nMeta; x <- 0 until r.nItems) {
+      val expanded = r.metaPairs(m).toSeq.collect {
+        case (`x`, y, s) => (y, s)
+        case (y, `x`, s) => (y, s)
+      }
+      assert(r.metaNbrs(m)(x) == expanded, s"meta $m item $x")
+    }
   }
 
   test("totalCost and withinBudget") {

@@ -3,6 +3,7 @@ package repro.diffusion
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
 import repro.core.{Params, RelKind, Seed}
+import repro.dynamics.Dynamics
 
 class LocalDiffusionSpec extends AnyFunSuite {
 
@@ -158,6 +159,21 @@ class LocalDiffusionSpec extends AnyFunSuite {
     val res = LocalDiffusion.run(inst, Seq(Seed(0, 0, 1)))
     assert(res.steps <= 1)
     assert(res.a(2)(0) == 0.0, "hop 2 unreachable in one step of one promotion")
+  }
+
+  test("frozen run: untouched users keep the initial weights, touched users get updateUserWeights'") {
+    for (seed <- 1L to 6L) {
+      val inst = TestInstances.random(seed, nUsers = 30, nItems = 8).withParams(Params().frozen)
+      val res = LocalDiffusion.run(inst, Seq(Seed(0, 0, 1), Seed(5, 3, 2)))
+      val init = Dynamics.initUserWeights(inst)
+      for (v <- 0 until inst.nUsers) {
+        val expected =
+          if (res.a(v).forall(_ == 0.0)) init
+          else { val out = new Array[Double](inst.nMeta); Dynamics.updateUserWeights(inst, res.a(v), out); out }
+        assert(res.w(v).toSeq == expected.toSeq, s"seed=$seed user=$v")
+      }
+      assert(res.w.distinct.length == inst.nUsers, "every user owns its weight vector")
+    }
   }
 
   test("multi-round re-diffusion: more promotions retry and grow the spread") {

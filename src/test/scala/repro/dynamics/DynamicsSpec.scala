@@ -113,6 +113,22 @@ class DynamicsSpec extends AnyFunSuite {
     assert(math.abs(s1 - s2) < eps)
   }
 
+  test("sparseSim over the ascending support equals sim bit for bit") {
+    val rnd = new scala.util.Random(7)
+    for (_ <- 1 to 500) {
+      val n = 1 + rnd.nextInt(30)
+      def vec() = Array.fill(n)(if (rnd.nextDouble() < 0.6) 0.0 else rnd.nextDouble())
+      val aU = vec()
+      val aV = vec()
+      val (sumU, sumV) = (aU.sum, aV.sum)
+      val dense = Dynamics.sim(aU, aV, sumU, sumV)
+      for (supp <- Seq(aU, aV).map(a => a.indices.filter(a(_) > 0.0).toArray)) {
+        val sparse = Dynamics.sparseSim(supp, supp.length, aU, aV, sumU, sumV)
+        assert(java.lang.Double.doubleToLongBits(sparse) == java.lang.Double.doubleToLongBits(dense))
+      }
+    }
+  }
+
   test("act caps at actCap") {
     assert(Dynamics.act(inst, 0.85, 1.0) == inst.params.actCap)
     assert(math.abs(Dynamics.act(inst, 0.2, 0.5) - (0.2 + inst.params.gamma * 0.5)) < eps)
