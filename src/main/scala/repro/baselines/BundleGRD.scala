@@ -14,6 +14,9 @@ import repro.core.{Nominee, ProblemInstance}
   */
 object BundleGRD {
 
+  /** Propagation horizon of the frozen spread that scores bundles. */
+  val FrozenHops: Int = 3
+
   /** Selected user-item pairs (a bundle per selected user), in user pick
     * order; round assignment is delegated to [[CRGreedy]].
     *
@@ -21,7 +24,7 @@ object BundleGRD {
     * descending importance — the budget still lands on few users promoting
     * many items, which is BundleGRD's defining (and wasteful) trait.
     */
-  def selectPairs(inst: ProblemInstance, maxCandidates: Int = 400, frozenHops: Int = 3): Vector[Nominee] = {
+  def selectPairs(inst: ProblemInstance, maxCandidates: Int = 400): Vector[Nominee] = {
     val itemsByImportance = (0 until inst.nItems).sortBy(x => (-inst.importance(x), x)).toVector
     // few users end up selected, so a modest user pool suffices (each
     // candidate evaluation re-simulates the whole chosen bundle set)
@@ -31,12 +34,12 @@ object BundleGRD {
       var left = budgetLeft
       val b = Vector.newBuilder[Nominee]
       itemsByImportance.foreach { x =>
-        if (inst.cost(u)(x) <= left + 1e-9) { left -= inst.cost(u)(x); b += Nominee(u, x) }
+        if (ProblemInstance.fits(inst.cost(u)(x), left)) { left -= inst.cost(u)(x); b += Nominee(u, x) }
       }
       b.result()
     }
 
-    val frozen = FrozenSpread.instance(inst, frozenHops)
+    val frozen = FrozenSpread.instance(inst, FrozenHops)
     val selected = Vector.newBuilder[Nominee]
     var chosen = Vector.empty[Nominee]
     var spent = 0.0
@@ -52,7 +55,7 @@ object BundleGRD {
         (u, bundle, gain)
       }
       val (u, bundle, gain) = cands.maxBy(c => (c._3, -c._1))
-      if (bundle.isEmpty || gain <= 1e-9) go = false
+      if (bundle.isEmpty || gain <= ProblemInstance.MinGain) go = false
       else {
         chosen = chosen ++ bundle
         spent += bundle.iterator.map(n => inst.cost(n.user)(n.item)).sum
@@ -63,6 +66,6 @@ object BundleGRD {
     selected.result()
   }
 
-  def run(inst: ProblemInstance, maxCandidates: Int = 400, frozenHops: Int = 3): Vector[repro.core.Seed] =
-    CRGreedy.schedule(inst, selectPairs(inst, maxCandidates, frozenHops))
+  def run(inst: ProblemInstance, maxCandidates: Int = 400): Vector[repro.core.Seed] =
+    CRGreedy.schedule(inst, selectPairs(inst, maxCandidates))
 }

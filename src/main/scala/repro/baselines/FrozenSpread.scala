@@ -18,7 +18,7 @@ object FrozenSpread {
     * this, so each evaluation skips the instance rebuild).
     */
   def sigmaOn(frozen: ProblemInstance, nominees: Iterable[Nominee]): Double =
-    LocalDiffusion.sigma(frozen, nominees.map(n => Seed(n.user, n.item, 1)).toSeq)
+    LocalDiffusion.sigma(frozen, nominees.iterator.map(n => Seed(n.user, n.item, 1)).toSeq)
 
   def sigma(inst: ProblemInstance, nominees: Iterable[Nominee], hops: Int = 3): Double =
     sigmaOn(instance(inst, hops), nominees)
@@ -39,19 +39,18 @@ object Celf {
     * @param cost      element cost (must be > 0)
     * @param budget    knapsack budget
     * @param f         set function (monotone; evaluated from scratch per call)
-    * @param minGain   stop once the best marginal gain falls below this
     * @param useRatio  rank by gain/cost (true) or raw gain (false)
     * @param initGains precomputed f({a}) per element (skips the first
     *                  full-pool evaluation round when the caller already
     *                  has the singleton gains)
-    * @return selected elements in pick order
+    * @return selected elements in pick order; selection stops once the best
+    *         marginal gain is at most [[ProblemInstance.MinGain]]
     */
   def select[A](
       pool: IndexedSeq[A],
       cost: A => Double,
       budget: Double,
       f: Set[A] => Double,
-      minGain: Double = 1e-9,
       useRatio: Boolean = true,
       initGains: A => Double = null.asInstanceOf[A => Double]): Vector[A] = {
     pool.foreach(a => require(cost(a) > 0.0, s"non-positive cost for $a"))
@@ -73,10 +72,10 @@ object Celf {
       var picked = false
       while (!picked && pq.nonEmpty) {
         val (_, gain, a, when) = pq.dequeue()
-        if (chosen.contains(a) || cost(a) > budget - spent + 1e-9) {
+        if (chosen.contains(a) || !ProblemInstance.fits(cost(a), budget - spent)) {
           // unaffordable or already in: drop permanently (costs are fixed)
         } else if (when == round) {
-          if (gain > minGain) {
+          if (gain > ProblemInstance.MinGain) {
             chosen += a
             fChosen = f(chosen)
             spent += cost(a)

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Nominee, ProblemInstance, Seed}
-import repro.diffusion.LocalDiffusion
 
 /** HAG, after "when social influence meets item inference" [10]
   * (Sec. VI-A): greedily selects the most influential user-item '''pair'''
@@ -24,12 +23,12 @@ object HAG {
       timeoutMs: Long = Long.MaxValue): Option[Vector[Nominee]] = {
     val pool = repro.core.CandidatePool.pairs(inst, maxCandidates)
     val deadline = if (timeoutMs == Long.MaxValue) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
-    // full-length frozen diffusion (not hop-limited): associations included,
-    // dynamics frozen — the expensive part HAG is known for
-    val frozenInst = inst.withParams(inst.params.frozen).withT(1)
+    // frozen spread without the 3-4 hop limit of TMI/BundleGRD: associations
+    // included, dynamics frozen — the expensive part HAG is known for
+    val frozen = FrozenSpread.instance(inst, inst.params.maxSteps)
     def f(set: Set[Nominee]): Double = {
       if (System.nanoTime() > deadline) throw new HagTimeout
-      LocalDiffusion.sigma(frozenInst, set.iterator.map(n => Seed(n.user, n.item, 1)).toSeq)
+      FrozenSpread.sigmaOn(frozen, set)
     }
     // raw marginal gain among affordable pairs (Sec. VI-A extension), not
     // gain per cost — cost-effectiveness is Dysim's MCP, not HAG's

@@ -12,19 +12,22 @@ import repro.diffusion.LocalDiffusion
   */
 object OptBruteForce {
 
+  /** Propagation horizon of the frozen spread that ranks [[defaultPool]]. */
+  val FrozenHops: Int = 3
+
   /** Default pool: the affordable pairs with the best individual frozen
     * spread — half taken by spread per cost (the cost-effective picks),
     * half by raw spread (the expensive-hub picks), so the exhaustive
     * search sees both regimes.
     */
-  def defaultPool(inst: ProblemInstance, poolSize: Int, frozenHops: Int = 3): Vector[Nominee] = {
-    val frozenInst = FrozenSpread.instance(inst, frozenHops)
+  def defaultPool(inst: ProblemInstance, poolSize: Int): Vector[Nominee] = {
+    val frozen = FrozenSpread.instance(inst, FrozenHops)
     val scored = for {
       u <- 0 until inst.nUsers
       x <- 0 until inst.nItems
-      if inst.cost(u)(x) <= inst.budget + 1e-9
+      if ProblemInstance.fits(inst.cost(u)(x), inst.budget)
     } yield {
-      val g = repro.diffusion.LocalDiffusion.sigma(frozenInst, Seq(Seed(u, x, 1)))
+      val g = FrozenSpread.sigmaOn(frozen, Seq(Nominee(u, x)))
       (Nominee(u, x), g, g / inst.cost(u)(x))
     }
     val byRatio = scored.sortBy(-_._3).map(_._1)
@@ -53,7 +56,7 @@ object OptBruteForce {
           val c = inst.cost(s.user)(s.item)
           // a pair may be seeded at multiple rounds per the paper, but the
           // re-seeding of an already-adopted (u, x) is a no-op; skip it.
-          if (!usedPairs.contains(pair) && costSoFar + c <= inst.budget + 1e-9)
+          if (!usedPairs.contains(pair) && ProblemInstance.fits(costSoFar + c, inst.budget))
             rec(i + 1, s :: chosen, costSoFar + c, usedPairs + pair)
           i += 1
         }

@@ -17,13 +17,16 @@ import repro.social.MIOA
   */
 object PS {
 
-  def selectPairs(inst: ProblemInstance, maxCandidates: Int = 400, thetaPath: Double = 0.01): Vector[Nominee] = {
+  /** Path-probability threshold of the maximum-influence-path reach. */
+  val ThetaPath: Double = 0.01
+
+  def selectPairs(inst: ProblemInstance, maxCandidates: Int = 400): Vector[Nominee] = {
     val outAdj = MIOA.outAdjacency(inst.inNbr, inst.inAct)
     val pool = repro.core.CandidatePool.pairs(inst, maxCandidates)
     val users = pool.map(_.user).distinct
     // maximum-influence-path reach per candidate user (the expensive scan)
     val reach: Map[Int, Map[Int, Double]] =
-      users.iterator.map(u => u -> MIOA.reachLocal(outAdj, Seq(u), thetaPath)).toMap
+      users.iterator.map(u => u -> MIOA.reachLocal(outAdj, Seq(u), ThetaPath)).toMap
     val score = scala.collection.mutable.HashMap.empty[Nominee, Double]
     pool.foreach { n =>
       var sc = 0.0
@@ -34,7 +37,7 @@ object PS {
     var budgetLeft = inst.budget
     var continue = true
     while (continue) {
-      val affordable = score.iterator.filter { case (n, _) => inst.cost(n.user)(n.item) <= budgetLeft + 1e-9 }
+      val affordable = score.iterator.filter { case (n, _) => ProblemInstance.fits(inst.cost(n.user)(n.item), budgetLeft) }
       val best = affordable.foldLeft(Option.empty[(Nominee, Double)]) {
         case (acc, (n, s)) => if (acc.forall(a => s > a._2)) Some((n, s)) else acc
       }
@@ -58,6 +61,6 @@ object PS {
     selected.result()
   }
 
-  def run(inst: ProblemInstance, maxCandidates: Int = 400, thetaPath: Double = 0.01): Vector[Seed] =
-    CRGreedy.schedule(inst, selectPairs(inst, maxCandidates, thetaPath))
+  def run(inst: ProblemInstance, maxCandidates: Int = 400): Vector[Seed] =
+    CRGreedy.schedule(inst, selectPairs(inst, maxCandidates))
 }

@@ -20,7 +20,7 @@ object CandidatePool {
     val scored = for {
       u <- (0 until inst.nUsers).toVector
       x <- 0 until inst.nItems
-      if inst.cost(u)(x) <= inst.budget + 1e-9
+      if ProblemInstance.fits(inst.cost(u)(x), inst.budget)
     } yield {
       val g = proxyGain(inst, u, x)
       (Nominee(u, x), g, g / inst.cost(u)(x))

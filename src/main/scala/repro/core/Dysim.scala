@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.diffusion.LocalDiffusion
-
 /** Dysim — Dynamic perception for seeding in target markets (Algorithm 1).
   *
   * Phases: TMI selects and clusters nominees into prioritized target
@@ -54,8 +52,9 @@ object Dysim {
   }
 
   /** Average relevance over the market's users *after the promotion of the
-    * seeds so far* (the dynamic part of DR): simulate S^G, take the
-    * market users' updated weightings, average.
+    * seeds so far* (the dynamic part of DR): simulate S^G over the market
+    * ([[TDSI.marketDiffusion]]), take the market users' updated weightings,
+    * average.
     */
   def marketRelevance(
       inst: ProblemInstance,
@@ -63,9 +62,7 @@ object Dysim {
       market: TargetMarket): (Array[Array[Double]], Array[Array[Double]]) = {
     if (sG.isEmpty) TMI.initialAvgRel(inst)
     else {
-      val diffuse = market.mask(inst.nUsers)
-      sG.foreach(seed => diffuse(seed.user) = true)
-      val res = LocalDiffusion.run(inst, sG, Some(diffuse))
+      val res = TDSI.marketDiffusion(inst, sG, market.mask(inst.nUsers))
       val ws = market.users.toArray.sorted.map(res.w)
       TMI.avgRel(inst, ws)
     }

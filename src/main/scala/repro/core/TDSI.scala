@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.diffusion.LocalDiffusion
+import repro.diffusion.{DiffusionResult, LocalDiffusion}
 
 /** Phase 3 of Dysim — Timing Determination by Substantial Influence
   * (Sec. IV-B.3, Eqs. 2, 5, 6, 7): for a candidate seed (u, x_p, t),
@@ -24,16 +24,21 @@ object TDSI {
     lo to hi
   }
 
-  /** Evaluation of σ^τ and π^τ for a seed group, with the diffusion
-    * restricted to the market's users plus all seeded users (so earlier
-    * promotions still reach the market).
+  /** The campaign of `seeds` restricted to the market's users plus all
+    * seeded users (so earlier promotions still reach the market) — the
+    * diffusion behind σ^τ, π^τ and DRE's dynamic relevance.
     */
+  def marketDiffusion(inst: ProblemInstance, seeds: Seq[Seed], marketMask: Array[Boolean]): DiffusionResult = {
+    val diffuse = marketMask.clone()
+    seeds.foreach(s => diffuse(s.user) = true)
+    LocalDiffusion.run(inst, seeds, Some(diffuse))
+  }
+
+  /** Evaluation of σ^τ and π^τ for a seed group over [[marketDiffusion]]. */
   final case class MarketEval(sigma: Double, pi: Double)
 
   def evalMarket(inst: ProblemInstance, seeds: Seq[Seed], marketMask: Array[Boolean]): MarketEval = {
-    val diffuse = marketMask.clone()
-    seeds.foreach(s => diffuse(s.user) = true)
-    val res = LocalDiffusion.run(inst, seeds, Some(diffuse))
+    val res = marketDiffusion(inst, seeds, marketMask)
     MarketEval(
       LocalDiffusion.sigmaOf(inst, res, Some(marketMask)),
       LocalDiffusion.pi(inst, res, Some(marketMask)))

@@ -95,13 +95,13 @@ object TMI {
       set => f(set),
       initGains = singles)
     // standard knapsack correction behind Theorem 2's (1 − 1/√e) factor
-    val affordable = pool.filter(n => inst.cost(n.user)(n.item) <= inst.budget + 1e-9)
+    val affordable = pool.filter(n => ProblemInstance.fits(inst.cost(n.user)(n.item), inst.budget))
     if (affordable.isEmpty) greedy
     else {
       val bestSingle = affordable.maxBy(n => (singles(n), -n.user, -n.item))
       val singleGain = singles(bestSingle)
       val greedyGain = if (greedy.isEmpty) 0.0 else f(greedy)
-      if (singleGain > greedyGain && singleGain > 1e-9) Vector(bestSingle) else greedy
+      if (singleGain > greedyGain && singleGain > ProblemInstance.MinGain) Vector(bestSingle) else greedy
     }
   }
 

@@ -86,9 +86,11 @@ final class MetaNbrs(val start: Array[Int], val nbr: Array[Int], val s: Array[Do
   * Users and items are dense 0-based ints. Meta-graph relevance matrices
   * `metaS(m)(x)(y) = s(x,y|m)` are symmetric with zero diagonal. `inNbr`
   * and `inAct` are aligned: `inAct(v)(i)` is the base influence strength of
-  * `inNbr(v)(i)` on `v`. Built from Spark DataFrames by
-  * [[repro.data.InstanceBuilder]]; small enough for the driver by design
-  * (DESIGN.md Sec. 6).
+  * `inNbr(v)(i)` on `v`. Construction rejects malformed input: costs must
+  * be finite and positive, preferences in [0,1], influence strengths in
+  * (0,1], relevance in [0,1] and the budget finite and non-negative.
+  * Built from Spark DataFrames by [[repro.data.InstanceBuilder]]; small
+  * enough for the driver by design (DESIGN.md Sec. 6).
   */
 final case class ProblemInstance(
     nUsers: Int,
@@ -110,6 +112,23 @@ final case class ProblemInstance(
   require(basePref.length == nUsers && cost.length == nUsers)
   require(metaS.length == metaKinds.length, "one relevance matrix per meta-graph")
   require(T >= 1, "at least one promotion")
+  require(budget >= 0.0 && budget < Double.PositiveInfinity, s"budget must be finite and >= 0, got $budget")
+  require(cost.forall(r => r.length == nItems && r.forall(c => c > 0.0 && c < Double.PositiveInfinity)),
+    "every cost must be finite and > 0")
+  require(basePref.forall(r => r.length == nItems && r.forall(p => p >= 0.0 && p <= 1.0)),
+    "every basePref must be in [0,1]")
+  require(inNbr.indices.forall(v => inAct(v).length == inNbr(v).length && inAct(v).forall(p => p > 0.0 && p <= 1.0)),
+    "inAct(v) must align with inNbr(v), with every value in (0,1]")
+  metaS.indices.foreach { m =>
+    val s = metaS(m)
+    require(s.length == nItems && s.forall(_.length == nItems), s"metaS($m) must be nItems x nItems")
+    for (x <- 0 until nItems; y <- 0 until nItems) {
+      val sxy = s(x)(y)
+      require(sxy >= 0.0 && sxy <= 1.0, s"metaS($m)($x)($y) = $sxy is outside [0,1]")
+      require(sxy == s(y)(x), s"metaS($m) is not symmetric at ($x,$y)")
+      require(x != y || sxy == 0.0, s"metaS($m) has a non-zero diagonal at $x")
+    }
+  }
 
   /** Indices of complementary meta-graphs. */
   val cMeta: Vector[Int] = metaKinds.zipWithIndex.collect { case (RelKind.Complementary, i) => i }
@@ -161,7 +180,7 @@ final case class ProblemInstance(
   def totalCost(seeds: Iterable[Seed]): Double =
     seeds.iterator.map(s => cost(s.user)(s.item)).sum
 
-  def withinBudget(seeds: Iterable[Seed]): Boolean = totalCost(seeds) <= budget + 1e-9
+  def withinBudget(seeds: Iterable[Seed]): Boolean = ProblemInstance.fits(totalCost(seeds), budget)
 
   def withParams(p: Params): ProblemInstance = copy(params = p)
   def withBudget(b: Double): ProblemInstance = copy(budget = b)
@@ -169,4 +188,15 @@ final case class ProblemInstance(
 
   def inDegree(v: Int): Int = inNbr(v).length
   def outDegree(u: Int): Int = outNbr(u).length
+}
+
+object ProblemInstance {
+
+  /** Whether a cost fits in what is left of the budget, with slack for the
+    * rounding of summed costs (the IMDPP budget constraint).
+    */
+  def fits(cost: Double, left: Double): Boolean = cost <= left + 1e-9
+
+  /** Smallest marginal spread gain worth a pick in the greedy selections. */
+  val MinGain: Double = 1e-9
 }

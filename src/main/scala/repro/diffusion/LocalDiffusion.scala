@@ -286,10 +286,9 @@ object LocalDiffusion {
     acc
   }
 
-  /** Convenience: run + σ. */
-  def sigma(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]] = None,
-            countMask: Option[Array[Boolean]] = None): Double =
-    sigmaOf(inst, run(inst, seeds, mask), countMask)
+  /** Convenience: run + σ, unmasked (masked callers use run + [[sigmaOf]]). */
+  def sigma(inst: ProblemInstance, seeds: Seq[Seed]): Double =
+    sigmaOf(inst, run(inst, seeds))
 
   /** Future-adoption likelihood π (Eq. 7) of the end state:
     * Σ_v Σ_y (1−a(v,y)) · AIS(v,y) · P_pref(v,y), with the IC form of AIS

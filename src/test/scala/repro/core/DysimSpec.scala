@@ -72,12 +72,37 @@ class DysimSpec extends AnyFunSuite {
     }
   }
 
+  // `inst` with a second complementary meta-graph: with one meta-graph per
+  // class the weightings cannot move r̄C/r̄S, so only this instance shows DR's
+  // dynamic part
+  private def twoC = TestInstances.mk(
+    nUsers = 10,
+    nItems = 3,
+    edges = Seq((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (6, 7), (6, 8), (7, 9)),
+    metaKinds = Vector(RelKind.Complementary, RelKind.Complementary, RelKind.Substitutable),
+    metaS = Vector(TestInstances.sym(3)((0, 1, 0.8)), TestInstances.sym(3)((1, 2, 0.5)), TestInstances.sym(3)((0, 2, 0.7))))
+
   test("marketRelevance shifts after promotions (dynamic perception)") {
+    val i = twoC
     val m = TargetMarket(Vector(Nominee(0, 0)), Set(0, 1, 2, 3, 4, 5), 2)
-    val (rC0, _) = TMI.initialAvgRel(inst)
-    // promote both complements from the hub: weightings move toward meta C
-    val (rC, _) = Dysim.marketRelevance(inst, Seq(Seed(0, 0, 1), Seed(0, 1, 2)), m)
-    assert(rC(0)(1) != rC0(0)(1) || rC(0)(2) != rC0(0)(2), "perceptions should have moved")
+    val (rC0, _) = TMI.initialAvgRel(i)
+    // promote both complements from the hub: weightings move toward the
+    // meta-graph relating them
+    val (rC, _) = Dysim.marketRelevance(i, Seq(Seed(0, 0, 1), Seed(0, 1, 2)), m)
+    assert(rC(0)(1) > rC0(0)(1), "perceptions should have moved")
+  }
+
+  test("marketRelevance diffuses a seed whose user is outside the market") {
+    val i = twoC
+    val market = TargetMarket(Vector(Nominee(1, 0)), Set(1, 2, 3, 4, 5), 2) // the hub 0 is outside
+    val sG = Seq(Seed(0, 0, 1), Seed(0, 1, 2))
+    val (rC0, _) = TMI.initialAvgRel(i)
+    val (rC, rS) = Dysim.marketRelevance(i, sG, market)
+    assert(rC(0)(1) > rC0(0)(1), "the hub's co-promotion of 0 and 1 should raise r̄C(0,1) in the market")
+    // exactly the weightings of a campaign over the market plus the seeded user
+    val res = LocalDiffusion.run(i, sG, Some(Array.tabulate(i.nUsers)(_ <= 5)))
+    val (eC, eS) = TMI.avgRel(i, Array(1, 2, 3, 4, 5).map(res.w))
+    for (x <- 0 until 3; y <- 0 until 3) assert(rC(x)(y) == eC(x)(y) && rS(x)(y) == eS(x)(y), s"($x,$y)")
   }
 
   test("empty-budget instance yields no seeds") {

@@ -61,6 +61,50 @@ class TypesSpec extends AnyFunSuite {
     }
   }
 
+  // ---- ProblemInstance validation: one case per rejected field ---------------
+
+  private def line3With(cost: Double = 1.0, pref: Double = 0.3, act: Double = 0.3, budget: Double = 10.0) =
+    TestInstances.mk(3, 2, Seq((0, 1), (1, 2)), cost = (_, _) => cost, basePref = (_, _) => pref, act = act,
+      budget = budget)
+
+  test("ProblemInstance rejects a zero, negative or non-finite cost") {
+    for (bad <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity))
+      assertThrows[IllegalArgumentException](line3With(cost = bad))
+  }
+
+  test("ProblemInstance rejects a basePref outside [0,1]") {
+    for (bad <- Seq(-0.1, 1.1, Double.NaN)) assertThrows[IllegalArgumentException](line3With(pref = bad))
+    line3With(pref = 0.0); line3With(pref = 1.0) // the bounds are allowed
+  }
+
+  test("ProblemInstance rejects inAct outside (0,1] or misaligned with inNbr") {
+    for (bad <- Seq(0.0, 1.5, Double.NaN)) assertThrows[IllegalArgumentException](line3With(act = bad))
+    line3With(act = 1.0)
+    val inst = TestInstances.line3
+    assertThrows[IllegalArgumentException](inst.copy(inAct = Array(Array.empty[Double], Array.empty[Double], Array(0.3))))
+  }
+
+  test("ProblemInstance rejects a malformed relevance matrix") {
+    val inst = TestInstances.line3
+    def withC(m: Array[Array[Double]]) = inst.copy(metaS = Vector(m, inst.metaS(1)))
+    assertThrows[IllegalArgumentException](withC(Array(Array(0.0, 0.8), Array(0.7, 0.0)))) // asymmetric
+    assertThrows[IllegalArgumentException](withC(Array(Array(0.5, 0.8), Array(0.8, 0.0)))) // non-zero diagonal
+    assertThrows[IllegalArgumentException](withC(TestInstances.sym(2)((0, 1, 1.5)))) // above 1
+    assertThrows[IllegalArgumentException](withC(TestInstances.sym(2)((0, 1, -0.1)))) // below 0
+    assertThrows[IllegalArgumentException](withC(Array(Array(0.0, 0.8)))) // not nItems x nItems
+  }
+
+  test("ProblemInstance rejects a negative or non-finite budget") {
+    for (bad <- Seq(-1.0, Double.NaN, Double.PositiveInfinity))
+      assertThrows[IllegalArgumentException](line3With(budget = bad))
+    line3With(budget = 0.0)
+  }
+
+  test("fits allows the rounding slack and nothing more") {
+    assert(ProblemInstance.fits(1.0, 1.0) && ProblemInstance.fits(1.0 + 1e-10, 1.0))
+    assert(!ProblemInstance.fits(1.0 + 1e-8, 1.0))
+  }
+
   test("totalCost and withinBudget") {
     val inst = TestInstances.line3 // unit costs, budget 10
     val seeds = Seq(Seed(0, 0, 1), Seed(1, 1, 2))

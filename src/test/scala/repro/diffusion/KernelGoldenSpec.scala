@@ -2,7 +2,7 @@ package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
-import repro.baselines.{BundleGRD, HAG, PS}
+import repro.baselines.{BundleGRD, HAG, OptBruteForce, PS}
 import repro.core.{Dysim, Params, ProblemInstance, Seed}
 import scala.io.Source
 import scala.util.Random
@@ -11,7 +11,10 @@ import scala.util.Random
   * built on it. The expected values in `kernel-golden.txt` were captured
   * from the straightforward kernel (dense similarity, every dynamic factor
   * evaluated even at zero rate, boxed step state); any rewrite of
-  * [[LocalDiffusion]] must reproduce them to the last bit.
+  * [[LocalDiffusion]] must reproduce them to the last bit. The OPT rows
+  * (`defaultPool` order, then `run`'s seeds and σ) were added later,
+  * captured before OPT's pool ranking and budget check moved onto the
+  * shared `FrozenSpread` and `ProblemInstance.fits`.
   *
   * Regenerate only from a commit whose kernel is trusted:
   * `sbt "Test/runMain repro.diffusion.KernelGoldenSpec src/test/resources/repro/diffusion/kernel-golden.txt"`
@@ -25,6 +28,8 @@ class KernelGoldenSpec extends AnyFunSuite {
     finally src.close()
   }
 
+  private lazy val (optRows, heuristicRows) = algorithmRows.partition(_._1.startsWith("opt"))
+
   test("golden table covers every campaign and algorithm case") {
     assert(golden.keySet == (campaignRows ++ algorithmRows).map(_._1).toSet)
   }
@@ -34,7 +39,11 @@ class KernelGoldenSpec extends AnyFunSuite {
   }
 
   test("Dysim, BundleGRD, HAG and PS reproduce their seeds and sigma bit for bit") {
-    algorithmRows.foreach { case (key, value) => assert(value == golden(key), key) }
+    heuristicRows.foreach { case (key, value) => assert(value == golden(key), key) }
+  }
+
+  test("OPT reproduces its pool, seeds and sigma bit for bit") {
+    optRows.foreach { case (key, value) => assert(value == golden(key), key) }
   }
 }
 
@@ -95,11 +104,17 @@ object KernelGoldenSpec {
   def algorithmRows: Seq[(String, String)] =
     algorithmSeeds.flatMap { seed =>
       val inst = instance(seed).withBudget(6.0).withT(3)
+      val optPool = OptBruteForce.defaultPool(inst, 10)
       Seq(
         s"dysim $seed" -> algorithm(inst, Dysim.run(inst)),
         s"bundlegrd $seed" -> algorithm(inst, BundleGRD.run(inst)),
         s"hag $seed" -> algorithm(inst, HAG.run(inst).getOrElse(Vector.empty)),
-        s"ps $seed" -> algorithm(inst, PS.run(inst)))
+        s"ps $seed" -> algorithm(inst, PS.run(inst)),
+        s"opt pool $seed" -> optPool.map(n => s"${n.user},${n.item}").mkString(";"),
+        s"opt $seed" -> {
+          val (seeds, sigma) = OptBruteForce.run(inst, optPool, maxSeeds = 2)
+          algorithm(inst, seeds) + " " + bits(sigma)
+        })
     }
 
   /** Writes the golden table to the path given as the only argument. */
