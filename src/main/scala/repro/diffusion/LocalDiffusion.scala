@@ -43,7 +43,14 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *  - per-step state lives in reused primitive buffers. Each user's deltas
   *    within a step depend only on last step's state and its own row, so a
   *    receiver's deltas are applied as soon as they are computed; every sum
-  *    and product keeps the order of the dense formulation.
+  *    and product keeps the order of the dense formulation;
+  *  - forks: round t depends only on the state at its start and the seeds
+  *    of rounds ≥ t, and that state depends only on the seeds of rounds < t
+  *    and the mask. So a campaign S :+ c with c at round t, resumed
+  *    ([[resume]]) from S's [[RoundState]] at round t, equals `run(S :+ c)`
+  *    bit for bit. The precondition, checked by [[resume]], is that the
+  *    seeds of rounds < t and the mask are those the state was produced
+  *    under. [[run]] is the resume from round 1; there is one step loop.
   */
 object LocalDiffusion {
 
@@ -63,20 +70,89 @@ object LocalDiffusion {
     def clear(): Unit = java.util.Arrays.fill(len, 0)
   }
 
-  def run(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]] = None): DiffusionResult = {
+  /** The whole state of a campaign at the start of round `t`: adoptions
+    * `a`, weightings `w`, per-user adoption mass `sumA`, the ascending
+    * adopted-item lists and the steps run so far. At a round boundary the
+    * step buffers are empty and the frontier is rebuilt from `a`, so
+    * nothing else is needed to resume. The arrays are private copies;
+    * [[resume]] never writes them. `prefix` (the seeds of rounds < t),
+    * `mask` and `inst` are what the state was produced under.
+    */
+  final class RoundState private[LocalDiffusion] (
+      val t: Int,
+      private[LocalDiffusion] val inst: ProblemInstance,
+      private[LocalDiffusion] val prefix: Set[Seed],
+      private[LocalDiffusion] val mask: Array[Boolean],
+      private[LocalDiffusion] val a: Array[Array[Double]],
+      private[LocalDiffusion] val w: Array[Array[Double]],
+      private[LocalDiffusion] val sumA: Array[Double],
+      private[LocalDiffusion] val support: Array[Array[Int]],
+      private[LocalDiffusion] val supportLen: Array[Int],
+      private[LocalDiffusion] val steps: Int) {
+
+    private[LocalDiffusion] def copy(): RoundState = new RoundState(
+      t, inst, prefix, mask, a.map(_.clone()), w.map(_.clone()), sumA.clone(),
+      if (support == null) null else support.map(r => if (r == null) null else r.clone()),
+      supportLen.clone(), steps)
+  }
+
+  /** The state before round 1: nothing adopted, initial weightings. */
+  def start(inst: ProblemInstance, mask: Option[Array[Boolean]] = None): RoundState = {
+    val w0 = Dynamics.initUserWeights(inst)
+    new RoundState(
+      1, inst, Set.empty, mask.map(_.clone()).orNull,
+      Array.fill(inst.nUsers)(new Array[Double](inst.nItems)), Array.fill(inst.nUsers)(w0.clone()),
+      new Array[Double](inst.nUsers), if (inst.params.gamma != 0.0) new Array[Array[Int]](inst.nUsers) else null,
+      new Array[Int](inst.nUsers), 0)
+  }
+
+  /** The campaign `seeds` over rounds 1..T. */
+  def run(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]] = None): DiffusionResult =
+    simulate(inst, start(inst, mask), seeds, mask, record = false)._1
+
+  /** The campaign `seeds` resumed from `from`: rounds from.t..T run on a
+    * copy of the state, so one state can be forked any number of times.
+    * The result equals `run(inst, seeds, mask)` bit for bit, because the
+    * rounds before from.t depend only on the seeds of those rounds; this
+    * call therefore requires that `seeds` of rounds < from.t and `mask`
+    * equal the ones `from` was produced under, on the same instance. It
+    * also returns the campaign's state at the start of every round
+    * from.t..T, in round order, with `from` itself first.
+    */
+  def resume(
+      inst: ProblemInstance,
+      from: RoundState,
+      seeds: Seq[Seed],
+      mask: Option[Array[Boolean]] = None): (DiffusionResult, Vector[RoundState]) = {
+    val (res, later) = simulate(inst, from.copy(), seeds, mask, record = true)
+    (res, from +: later)
+  }
+
+  /** Runs rounds st.t..T, updating `st`'s arrays in place; with `record`,
+    * also returns the state at the start of every round st.t+1..T.
+    */
+  private def simulate(
+      inst: ProblemInstance,
+      st: RoundState,
+      seeds: Seq[Seed],
+      mask: Option[Array[Boolean]],
+      record: Boolean): (DiffusionResult, Vector[RoundState]) = {
     seeds.foreach { s =>
       require(s.t <= inst.T, s"seed round ${s.t} exceeds T=${inst.T}")
       require(s.user >= 0 && s.user < inst.nUsers && s.item >= 0 && s.item < inst.nItems, s"bad seed $s")
     }
+    require(st.inst eq inst, "round state belongs to another instance")
+    require(java.util.Arrays.equals(st.mask, mask.orNull), "round state was produced under another mask")
+    require(st.t == 1 || seeds.iterator.filter(_.t < st.t).toSet == st.prefix,
+      s"round state was produced under other seeds before round ${st.t}")
     val n = inst.nUsers
     val nI = inst.nItems
     val p = inst.params
-    val mk = mask.orNull
+    val mk = st.mask
     def active(v: Int): Boolean = mk == null || mk(v)
-    val a = Array.fill(n)(new Array[Double](nI))
-    val w0 = Dynamics.initUserWeights(inst)
-    val w = Array.fill(n)(w0.clone())
-    val sumA = new Array[Double](n)
+    val a = st.a
+    val w = st.w
+    val sumA = st.sumA
     val cMeta = inst.cMeta.toArray
     val cNbrs = cMeta.map(inst.metaNbrs)
 
@@ -87,9 +163,10 @@ object LocalDiffusion {
       if (p.eta != 0.0) null
       else { val fw = new Array[Double](inst.nMeta); Dynamics.updateUserWeights(inst, new Array[Double](nI), fw); fw }
 
-    // ascending adopted-item lists, for the sparse similarity
-    val support = if (useSim) new Array[Array[Int]](n) else null
-    val supportLen = new Array[Int](n)
+    // ascending adopted-item lists, for the sparse similarity (null
+    // without it)
+    val support = st.support
+    val supportLen = st.supportLen
 
     // applies the raw deltas of user v (zeroing `raw`), records them in
     // `out` and returns the largest one
@@ -134,10 +211,13 @@ object LocalDiffusion {
     val receivers = new Array[Int](n)
     var last = new Deltas(n, nI)
     var next = new Deltas(n, nI)
-    var totalSteps = 0
+    var totalSteps = st.steps
+    val recorded = Vector.newBuilder[RoundState]
 
-    var t = 1
+    var t = st.t
     while (t <= inst.T) {
+      if (record && t > st.t)
+        recorded += new RoundState(t, inst, seeds.iterator.filter(_.t < t).toSet, mk, a, w, sumA, support, supportLen, totalSteps).copy()
       // ζ_t = 0: seed adoptions
       next.clear()
       var seedMax = 0.0
@@ -266,7 +346,7 @@ object LocalDiffusion {
       }
       t += 1
     }
-    DiffusionResult(a, w, totalSteps)
+    (DiffusionResult(a, w, totalSteps), recorded.result())
   }
 
   /** Importance-aware influence σ (Def. 1): Σ_x w_x Σ_v a(v,x), optionally

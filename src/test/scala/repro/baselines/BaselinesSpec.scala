@@ -122,6 +122,17 @@ class BaselinesSpec extends AnyFunSuite {
     assert(pairs.head.user == 0, "the influencer scores higher than the follower")
   }
 
+  test("PS breaks an exact score tie between two pairs by ascending (user, item)") {
+    // only the two pairs (a, xa) and (b, xb) are affordable; with no arcs
+    // and uniform preference both score exactly 0.3, and one fits the budget
+    for ((a, xa, b, xb) <- Seq((0, 1, 1, 1), (1, 0, 5, 0), (2, 1, 7, 0), (3, 0, 4, 1), (6, 0, 6, 1))) {
+      val i = TestInstances.mk(
+        nUsers = 8, nItems = 2, edges = Nil, budget = 1.0,
+        cost = (u, x) => if ((u, x) == ((a, xa)) || (u, x) == ((b, xb))) 1.0 else 5.0)
+      assert(PS.selectPairs(i, maxCandidates = 4) == Vector(Nominee(a, xa)), s"($a,$xa) vs ($b,$xb)")
+    }
+  }
+
   test("PS run produces valid timed seeds") {
     val i = inst
     val seeds = PS.run(i, maxCandidates = 16)

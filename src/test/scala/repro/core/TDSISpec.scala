@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
+import scala.collection.mutable.ArrayBuffer
 
 class TDSISpec extends AnyFunSuite {
 
@@ -88,5 +89,52 @@ class TDSISpec extends AnyFunSuite {
     val np = Vector(Nominee(0, 0))
     val out = TDSI.assignTimings(inst, s, Nil, tTauK = 3, np, Array(true, true, true))
     assert(out.head.t >= 2, "cannot schedule before the latest existing promotion")
+  }
+  /** The timing loop written out from its definition: a full market
+    * campaign for the base of every pick and for every candidate.
+    */
+  private def referenceTimings(
+      inst: ProblemInstance,
+      s: ArrayBuffer[Seed],
+      sPrevMarket: Seq[Seed],
+      tTauK: Int,
+      np: Vector[Nominee],
+      marketMask: Array[Boolean]): Vector[Seed] = {
+    val maxTPrev = if (sPrevMarket.isEmpty) 0 else sPrevMarket.map(_.t).max
+    var remaining = np
+    val out = Vector.newBuilder[Seed]
+    while (remaining.nonEmpty) {
+      val tHat = if (s.isEmpty) 1 else s.map(_.t).max
+      val base = TDSI.evalMarket(inst, s.toSeq, marketMask)
+      val cands = for (n <- remaining; t <- TDSI.window(tHat, tTauK, maxTPrev, inst.T))
+        yield Seed(n.user, n.item, t)
+      val best = cands.maxBy(c => (TDSI.si(inst, s.toSeq, base, c, marketMask), -c.t, -c.user))
+      s += best
+      out += best
+      remaining = remaining.filterNot(n => n.user == best.user && n.item == best.item)
+    }
+    out.result()
+  }
+
+  test("assignTimings with a nominee outside the market and unseeded picks what full re-simulation picks") {
+    var outsidePickedEarly = 0
+    for (seed <- 1L to 12L) {
+      val inst = TestInstances.random(seed, nUsers = 20, nItems = 6, nEdges = 60).withParams(Params()).withT(4)
+      val mask = Array.tabulate(inst.nUsers)(v => (v + seed) % 2 == 0)
+      val (in, out) = new scala.util.Random(seed).shuffle((0 until inst.nUsers).toVector).partition(mask)
+      val item = (seed % inst.nItems).toInt
+      val start = Seq(Seed(in(0), (item + 1) % inst.nItems, 2), Seed(out(0), (item + 2) % inst.nItems, 1))
+      val np = Vector(Nominee(in(1), item), Nominee(out(1), item), Nominee(in(2), item), Nominee(in(3), item))
+      assert(!mask(out(1)) && !start.exists(_.user == out(1)))
+      val prev = Seq(Seed(in(4), item, 2))
+      val s = ArrayBuffer.from(start)
+      val chosen = TDSI.assignTimings(inst, s, prev, tTauK = 3, np, mask)
+      val sRef = ArrayBuffer.from(start)
+      assert(chosen == referenceTimings(inst, sRef, prev, 3, np, mask), s"seed=$seed")
+      assert(s == sRef, s"seed=$seed")
+      if (chosen.indexWhere(_.user == out(1)) < np.size - 1) outsidePickedEarly += 1
+    }
+    // an outside winner widened the diffusion mask of a later pick
+    assert(outsidePickedEarly > 0)
   }
 }

@@ -2,8 +2,9 @@ package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
-import repro.baselines.{BundleGRD, HAG, OptBruteForce, PS}
-import repro.core.{Dysim, Params, ProblemInstance, Seed}
+import repro.baselines.{BundleGRD, CRGreedy, HAG, OptBruteForce, PS}
+import repro.core.{Dysim, Nominee, Params, ProblemInstance, Seed, TDSI}
+import scala.collection.mutable.ArrayBuffer
 import scala.io.Source
 import scala.util.Random
 
@@ -14,7 +15,9 @@ import scala.util.Random
   * [[LocalDiffusion]] must reproduce them to the last bit. The OPT rows
   * (`defaultPool` order, then `run`'s seeds and σ) were added later,
   * captured before OPT's pool ranking and budget check moved onto the
-  * shared `FrozenSpread` and `ProblemInstance.fits`.
+  * shared `FrozenSpread` and `ProblemInstance.fits`. The CR-Greedy and
+  * TDSI rows (T = 5, dynamic params) were captured before CR-Greedy
+  * started forking candidates from the scheduled campaign's round state.
   *
   * Regenerate only from a commit whose kernel is trusted:
   * `sbt "Test/runMain repro.diffusion.KernelGoldenSpec src/test/resources/repro/diffusion/kernel-golden.txt"`
@@ -28,7 +31,9 @@ class KernelGoldenSpec extends AnyFunSuite {
     finally src.close()
   }
 
-  private lazy val (optRows, heuristicRows) = algorithmRows.partition(_._1.startsWith("opt"))
+  private lazy val (optRows, otherRows) = algorithmRows.partition(_._1.startsWith("opt"))
+  private lazy val (roundSearchRows, heuristicRows) =
+    otherRows.partition(r => r._1.startsWith("crgreedy") || r._1.startsWith("tdsi"))
 
   test("golden table covers every campaign and algorithm case") {
     assert(golden.keySet == (campaignRows ++ algorithmRows).map(_._1).toSet)
@@ -44,6 +49,10 @@ class KernelGoldenSpec extends AnyFunSuite {
 
   test("OPT reproduces its pool, seeds and sigma bit for bit") {
     optRows.foreach { case (key, value) => assert(value == golden(key), key) }
+  }
+
+  test("CR-Greedy and TDSI reproduce their rounds and sigma bit for bit at T = 5") {
+    roundSearchRows.foreach { case (key, value) => assert(value == golden(key), key) }
   }
 }
 
@@ -101,6 +110,37 @@ object KernelGoldenSpec {
   private def algorithm(inst: ProblemInstance, seeds: Seq[Seed]): String =
     seeds.map(s => s"${s.user},${s.item},${s.t}").mkString(";") + " " + bits(LocalDiffusion.sigma(inst, seeds))
 
+  private def pairs(ns: Seq[Nominee]): String = ns.map(n => s"${n.user},${n.item}").mkString(";")
+
+  /** CR-Greedy at T = 5 over BundleGRD's pairs for budget 16: one user's
+    * 12-item bundle, then a second user's partial bundle.
+    */
+  def crGreedyRow(seed: Long): String = {
+    val inst = instance(seed).withParams(Params()).withBudget(16.0).withT(5)
+    val ps = BundleGRD.selectPairs(inst)
+    pairs(ps) + " " + algorithm(inst, CRGreedy.schedule(inst, ps))
+  }
+
+  /** TDSI at T = 5 under the half mask, with two seeds already placed
+    * (t̂ = 2) and a previous market ending at round 2, so the windows are
+    * [2,3], [3,4], [4,5] and [5,5]. Five nominees of one item; with
+    * `outside`, one of them is a user outside the market.
+    */
+  def tdsiRow(seed: Long, outside: Boolean): String = {
+    val inst = instance(seed).withParams(Params()).withT(5)
+    val mask = halfMask(seed, inst.nUsers)
+    val rnd = new Random(seed * 7919)
+    val item = rnd.nextInt(inst.nItems)
+    val (in, out) = rnd.shuffle((0 until inst.nUsers).toVector).partition(mask)
+    val s = ArrayBuffer(Seed(out(0), (item + 1) % inst.nItems, 2), Seed(in(0), (item + 2) % inst.nItems, 1))
+    val users = if (outside) in.slice(1, 5) :+ out(1) else in.slice(1, 6)
+    val np = users.map(Nominee(_, item))
+    val prev = Seq(Seed(in(6), (item + 3) % inst.nItems, 2))
+    val chosen = TDSI.assignTimings(inst, s, prev, tTauK = 3, np, mask)
+    val ev = TDSI.evalMarket(inst, s.toSeq, mask)
+    pairs(np) + " " + algorithm(inst, chosen) + " " + algorithm(inst, s.toSeq) + " " + bits(ev.sigma) + " " + bits(ev.pi)
+  }
+
   def algorithmRows: Seq[(String, String)] =
     algorithmSeeds.flatMap { seed =>
       val inst = instance(seed).withBudget(6.0).withT(3)
@@ -114,7 +154,10 @@ object KernelGoldenSpec {
         s"opt $seed" -> {
           val (seeds, sigma) = OptBruteForce.run(inst, optPool, maxSeeds = 2)
           algorithm(inst, seeds) + " " + bits(sigma)
-        })
+        },
+        s"crgreedy $seed" -> crGreedyRow(seed),
+        s"tdsi $seed" -> tdsiRow(seed, outside = false),
+        s"tdsi fallback $seed" -> tdsiRow(seed, outside = true))
     }
 
   /** Writes the golden table to the path given as the only argument. */

@@ -2,8 +2,9 @@ package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
-import repro.core.{Params, RelKind, Seed}
+import repro.core.{Params, ProblemInstance, RelKind, Seed}
 import repro.dynamics.Dynamics
+import scala.util.Random
 
 class LocalDiffusionSpec extends AnyFunSuite {
 
@@ -181,5 +182,96 @@ class LocalDiffusionSpec extends AnyFunSuite {
     val s1 = LocalDiffusion.sigma(inst.withT(1), Seq(Seed(0, 0, 1)))
     val s3 = LocalDiffusion.sigma(inst.withT(3), Seq(Seed(0, 0, 1)))
     assert(s3 > s1, s"T=3 ($s3) must exceed T=1 ($s1) via per-promotion retries")
+  }
+  // ---- forks from a round state ---------------------------------------------
+
+  /** Random instances × {dynamic, frozen} × {no mask, half mask} at T = 4,
+    * each with a three-seed campaign S and a candidate pair c.
+    */
+  private val forkCases = for {
+    seed <- 1L to 5L
+    (pName, params) <- Seq("dynamic" -> Params(), "frozen" -> Params().frozen)
+    masked <- Seq(false, true)
+  } yield {
+    val inst = TestInstances.random(seed, nUsers = 20, nItems = 6, nEdges = 60).withParams(params).withT(4)
+    val mask = if (masked) Some(Array.tabulate(inst.nUsers)(v => (v + seed) % 2 == 0)) else None
+    val rnd = new Random(seed)
+    val s = Seq.fill(3)(Seed(rnd.nextInt(inst.nUsers), rnd.nextInt(inst.nItems), 1 + rnd.nextInt(inst.T)))
+    val c = (rnd.nextInt(inst.nUsers), rnd.nextInt(inst.nItems))
+    (s"seed=$seed $pName ${if (masked) "half" else "all"}", inst, mask, s, c)
+  }
+
+  /** S's state at the start of every round t, at index t - 1. */
+  private def roundStates(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]]) =
+    LocalDiffusion.resume(inst, LocalDiffusion.start(inst, mask), seeds, mask)._2
+
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  private def assertSameBits(
+      inst: ProblemInstance, mask: Option[Array[Boolean]], x: DiffusionResult, y: DiffusionResult, clue: String): Unit = {
+    assert(x.steps == y.steps, clue)
+    assert(java.util.Arrays.deepEquals(x.a.asInstanceOf[Array[AnyRef]], y.a.asInstanceOf[Array[AnyRef]]), clue)
+    assert(java.util.Arrays.deepEquals(x.w.asInstanceOf[Array[AnyRef]], y.w.asInstanceOf[Array[AnyRef]]), clue)
+    assert(bits(LocalDiffusion.sigmaOf(inst, x, mask)) == bits(LocalDiffusion.sigmaOf(inst, y, mask)), clue)
+    assert(bits(LocalDiffusion.pi(inst, x, mask)) == bits(LocalDiffusion.pi(inst, y, mask)), clue)
+  }
+
+  test("a candidate forked from S's state at its round equals the full run of S :+ c, bit for bit") {
+    forkCases.foreach { case (name, inst, mask, s, (u, x)) =>
+      val states = roundStates(inst, s, mask)
+      assert(states.map(_.t) == (1 to inst.T), name)
+      for (t <- 1 to inst.T) {
+        val withC = s :+ Seed(u, x, t)
+        val (forked, later) = LocalDiffusion.resume(inst, states(t - 1), withC, mask)
+        assertSameBits(inst, mask, forked, LocalDiffusion.run(inst, withC, mask), s"$name t=$t")
+        assert(later.map(_.t) == (t to inst.T) && (later.head eq states(t - 1)), s"$name t=$t")
+        // the fork's own states serve the next fork, as in CR-Greedy
+        val next = states.take(t - 1) ++ later
+        for (t2 <- 1 to inst.T) {
+          val again = withC :+ Seed((u + 1) % inst.nUsers, (x + 1) % inst.nItems, t2)
+          assertSameBits(inst, mask, LocalDiffusion.resume(inst, next(t2 - 1), again, mask)._1,
+            LocalDiffusion.run(inst, again, mask), s"$name t=$t t2=$t2")
+        }
+      }
+    }
+  }
+
+  test("two forks from one state equal two fresh runs: states are never aliased") {
+    forkCases.foreach { case (name, inst, mask, s, (u, x)) =>
+      val states = roundStates(inst, s, mask)
+      for (t <- 1 to inst.T) {
+        val c1 = s :+ Seed(u, x, t)
+        val c2 = s :+ Seed(u, (x + 1) % inst.nItems, t)
+        val f1 = LocalDiffusion.resume(inst, states(t - 1), c1, mask)._1
+        val f2 = LocalDiffusion.resume(inst, states(t - 1), c2, mask)._1
+        val f1Again = LocalDiffusion.resume(inst, states(t - 1), c1, mask)._1
+        assertSameBits(inst, mask, f1, LocalDiffusion.run(inst, c1, mask), s"$name t=$t c1")
+        assertSameBits(inst, mask, f2, LocalDiffusion.run(inst, c2, mask), s"$name t=$t c2")
+        assertSameBits(inst, mask, f1Again, f1, s"$name t=$t c1 again")
+        assert(f1.a.indices.forall(v => (f1.a(v) ne f2.a(v)) && (f1.w(v) ne f2.w(v))), s"$name t=$t")
+      }
+    }
+  }
+
+  test("a state produced under other earlier seeds, another mask or another instance is rejected") {
+    forkCases.foreach { case (name, inst, mask, s, (u, x)) =>
+      val states = roundStates(inst, s, mask)
+      val extra = (0 until inst.nUsers).map(Seed(_, x, 1)).find(e => !s.contains(e)).get
+      val otherMask = Some(Array.tabulate(inst.nUsers)(v => v % 3 != 0))
+      for (t <- 1 to inst.T) {
+        val withC = s :+ Seed(u, x, t)
+        if (t >= 2) {
+          assertThrows[IllegalArgumentException](LocalDiffusion.resume(inst, states(t - 1), withC :+ extra, mask), s"$name t=$t")
+          if (s.exists(_.t < t))
+            assertThrows[IllegalArgumentException](
+              LocalDiffusion.resume(inst, states(t - 1), withC.filterNot(_.t < t), mask), s"$name t=$t")
+        }
+        assertThrows[IllegalArgumentException](LocalDiffusion.resume(inst, states(t - 1), withC, otherMask), s"$name t=$t")
+        if (mask.isDefined)
+          assertThrows[IllegalArgumentException](LocalDiffusion.resume(inst, states(t - 1), withC, None), s"$name t=$t")
+        assertThrows[IllegalArgumentException](
+          LocalDiffusion.resume(inst.withT(inst.T), states(t - 1), withC, mask), s"$name t=$t")
+      }
+    }
   }
 }
