@@ -19,7 +19,7 @@ object CRGreedy {
   def schedule(inst: ProblemInstance, pairs: Seq[Nominee]): Vector[Seed] = {
     val scheduled = scala.collection.mutable.ArrayBuffer.empty[Seed]
     // the scheduled campaign's state at the start of round t, at index t - 1
-    val base = LocalDiffusion.resume(inst, LocalDiffusion.start(inst), Nil)._2.toArray
+    val base = LocalDiffusion.resume(LocalDiffusion.start(inst), Nil)._2.toArray
     var sigmaSoFar = 0.0
     pairs.foreach { n =>
       var bestT = 1
@@ -28,7 +28,7 @@ object CRGreedy {
       var t = 1
       while (t <= inst.T) {
         val (res, states) =
-          LocalDiffusion.resume(inst, base(t - 1), (scheduled :+ Seed(n.user, n.item, t)).toSeq)
+          LocalDiffusion.resume(base(t - 1), (scheduled :+ Seed(n.user, n.item, t)).toSeq)
         val sig = LocalDiffusion.sigmaOf(inst, res)
         if (sig > bestSigma + 1e-12) { bestSigma = sig; bestT = t; bestStates = states }
         t += 1

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Nominee, ProblemInstance, Seed}
+import repro.core.{CandidatePool, Nominee, ProblemInstance, Seed}
 import repro.diffusion.LocalDiffusion
 
 /** OPT: exhaustive search over seed groups (Sec. VI-B compares against a
@@ -18,21 +18,11 @@ object OptBruteForce {
   /** Default pool: the affordable pairs with the best individual frozen
     * spread — half taken by spread per cost (the cost-effective picks),
     * half by raw spread (the expensive-hub picks), so the exhaustive
-    * search sees both regimes.
+    * search sees both regimes ([[CandidatePool.split]]).
     */
   def defaultPool(inst: ProblemInstance, poolSize: Int): Vector[Nominee] = {
     val frozen = FrozenSpread.instance(inst, FrozenHops)
-    val scored = for {
-      u <- 0 until inst.nUsers
-      x <- 0 until inst.nItems
-      if ProblemInstance.fits(inst.cost(u)(x), inst.budget)
-    } yield {
-      val g = FrozenSpread.sigmaOn(frozen, Seq(Nominee(u, x)))
-      (Nominee(u, x), g, g / inst.cost(u)(x))
-    }
-    val byRatio = scored.sortBy(-_._3).map(_._1)
-    val byGain = scored.sortBy(-_._2).map(_._1)
-    (byRatio.take((poolSize + 1) / 2) ++ byGain).distinct.take(poolSize).toVector
+    CandidatePool.split(inst, poolSize)(n => FrozenSpread.sigmaOn(frozen, Seq(n)))
   }
 
   /** Exhaustive maximization of the dynamic σ over subsets (≤ maxSeeds) of

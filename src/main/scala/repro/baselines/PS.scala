@@ -39,15 +39,8 @@ object PS {
     while (continue) {
       val affordable = score.iterator.filter { case (n, _) => ProblemInstance.fits(inst.cost(n.user)(n.item), budgetLeft) }
       // exact score ties go to the smallest (user, item), whatever the
-      // map's iteration order
-      val best = affordable.foldLeft(Option.empty[(Nominee, Double)]) {
-        case (acc, (n, s)) =>
-          val first = acc.forall { case (m, sm) =>
-            s > sm || (s == sm && (n.user < m.user || (n.user == m.user && n.item < m.item)))
-          }
-          if (first) Some((n, s)) else acc
-      }
-      best match {
+      // map's iteration order (scores are finite and >= +0)
+      affordable.maxByOption { case (n, s) => (s, -n.user, -n.item) } match {
         case Some((n, sc)) if sc > 1e-12 =>
           selected += n
           budgetLeft -= inst.cost(n.user)(n.item)

@@ -17,17 +17,27 @@ object CandidatePool {
   /** Up to `maxCandidates` affordable pairs, both regimes represented. */
   def pairs(inst: ProblemInstance, maxCandidates: Int): Vector[Nominee] = {
     require(maxCandidates >= 1, "need a positive pool cap")
+    split(inst, maxCandidates)(n => proxyGain(inst, n.user, n.item))
+  }
+
+  /** The two-regime split under any individual `gain`: up to `size`
+    * affordable pairs, the top half (rounded up) by gain per cost, then the
+    * top by raw gain. Ties go to the other score, then to the smallest
+    * (user, item).
+    */
+  def split(inst: ProblemInstance, size: Int)(gain: Nominee => Double): Vector[Nominee] = {
     val scored = for {
       u <- (0 until inst.nUsers).toVector
       x <- 0 until inst.nItems
       if ProblemInstance.fits(inst.cost(u)(x), inst.budget)
     } yield {
-      val g = proxyGain(inst, u, x)
-      (Nominee(u, x), g, g / inst.cost(u)(x))
+      val n = Nominee(u, x)
+      val g = gain(n)
+      (n, g, g / inst.cost(u)(x))
     }
     val byRatio = scored.sortBy(s => (-s._3, -s._2, s._1.user, s._1.item)).map(_._1)
     val byGain = scored.sortBy(s => (-s._2, -s._3, s._1.user, s._1.item)).map(_._1)
-    (byRatio.take((maxCandidates + 1) / 2) ++ byGain).distinct.take(maxCandidates)
+    (byRatio.take((size + 1) / 2) ++ byGain).distinct.take(size)
   }
 
   /** Distinct users of [[pairs]] (for user-level algorithms like BundleGRD). */

@@ -26,20 +26,21 @@ final case class TargetMarket(nominees: Vector[Nominee], users: Set[Int], diamet
 object TMI {
 
   final case class Config(
-      /** Propagation horizon of the frozen spread f. */
-      frozenHops: Int = 4,
-      /** Weight of (r̄C − r̄S) against social hop distance in clustering. */
-      lambda: Double = 2.0,
-      /** Merge two nominees when hopDist − λ(r̄C − r̄S) ≤ this. */
-      clusterThresh: Double = 2.0,
       /** MIOA path-probability threshold for market membership. */
       thetaMioa: Double = 0.05,
       /** θ: markets sharing at least this many users form a group G. */
       thetaCommon: Int = 2,
       /** Candidate pool cap (user-item pairs; see [[CandidatePool]]). */
-      maxCandidates: Int = 400,
-      /** Cap on a market's diameter d^τ. */
-      maxDiameter: Int = 4)
+      maxCandidates: Int = 400)
+
+  /** Propagation horizon of the frozen spread f. */
+  val FrozenHops: Int = 4
+  /** λ: weight of (r̄C − r̄S) against social hop distance in clustering. */
+  val Lambda: Double = 2.0
+  /** Merge two nominees when hopDist − λ(r̄C − r̄S) ≤ this. */
+  val ClusterThresh: Double = 2.0
+  /** Cap on a market's diameter d^τ. */
+  val MaxDiameter: Int = 4
 
   /** Average relevance matrices under uniform initial weightings (every
     * user starts identical, so the all-user average equals one user's).
@@ -83,7 +84,7 @@ object TMI {
     */
   def selectNominees(inst: ProblemInstance, cfg: Config): Vector[Nominee] = {
     val pool = candidatePool(inst, cfg)
-    val frozen = FrozenSpread.instance(inst, cfg.frozenHops)
+    val frozen = FrozenSpread.instance(inst, FrozenHops)
     def f(set: Iterable[Nominee]): Double = FrozenSpread.sigmaOn(frozen, set)
     // singleton gains computed once, shared by CELF's first round and the
     // knapsack correction below
@@ -125,9 +126,10 @@ object TMI {
   }
 
   /** clusterNominees(N): single-linkage merge of nominees with
-    * hopDist(u_i,u_j) − λ·(r̄C(x_i,x_j) − r̄S(x_i,x_j)) ≤ clusterThresh.
+    * hopDist(u_i,u_j) − λ·(r̄C(x_i,x_j) − r̄S(x_i,x_j)) ≤ [[ClusterThresh]].
     * Larger complementary relevance encourages merging; substitutable
     * relevance discourages it (so substitutes land in different markets).
+    * `cfg` is unused; the benchmark in `perfbench/` passes one.
     */
   def clusterNominees(inst: ProblemInstance, nominees: Vector[Nominee], cfg: Config): Vector[Vector[Nominee]] = {
     if (nominees.isEmpty) return Vector.empty
@@ -147,7 +149,7 @@ object TMI {
       val rel =
         if (ni.item == nj.item) rC(ni.item).max // same item: treat as fully compatible
         else rC(ni.item)(nj.item) - rS(ni.item)(nj.item)
-      if (hd - cfg.lambda * rel <= cfg.clusterThresh) union(i, j)
+      if (hd - Lambda * rel <= ClusterThresh) union(i, j)
     }
     nominees.indices.groupBy(find).values.map(idx => idx.map(nominees).toVector).toVector
       .sortBy(c => (-c.length, c.head.user, c.head.item))
@@ -164,10 +166,10 @@ object TMI {
       val reach = MIOA.reachLocal(outAdj, srcs, cfg.thetaMioa)
       val users = reach.keySet ++ srcs
       val dia = srcs.iterator.map { s =>
-        val d = hopDistances(inst, s, cfg.maxDiameter)
-        users.iterator.map(u => if (d(u) >= 0) d(u) else cfg.maxDiameter).max
+        val d = hopDistances(inst, s, MaxDiameter)
+        users.iterator.map(u => if (d(u) >= 0) d(u) else MaxDiameter).max
       }.min
-      TargetMarket(cluster, users, math.max(1, math.min(cfg.maxDiameter, dia)))
+      TargetMarket(cluster, users, math.max(1, math.min(MaxDiameter, dia)))
     }
   }
 

@@ -24,15 +24,13 @@ final case class Seed(user: Int, item: Int, t: Int) {
   */
 final case class Nominee(user: Int, item: Int)
 
-/** Constants of the closed-form factor model (DESIGN.md Sec. 4).
+/** Rates of the closed-form factor model (DESIGN.md Sec. 4).
   *
   * Setting `eta = beta = gamma = 0` freezes all dynamics, which is exactly
   * the "frozen-probability" spread function f used by TMI's MCP and by the
   * static baselines.
   */
 final case class Params(
-    /** Prior mass on each meta-graph weighting. */
-    w0: Double = 1.0,
     /** Weighting evidence rate: how fast co-adoptions shift meta-graph weightings. */
     eta: Double = 2.0,
     /** Preference cross-elasticity: effect of adopted complements/substitutes. */
@@ -44,13 +42,10 @@ final case class Params(
     /** Weighted-cascade base influence: baseAct = min(actBase, actScale/indeg). */
     actScale: Double = 1.2,
     actBase: Double = 0.4,
-    /** Hard cap on the dynamic P_act (keeps 1 - p > 0 for log-space products). */
-    actCap: Double = 0.9,
     /** Max mean-field steps per promotion. */
     maxSteps: Int = 8,
     /** Stop a promotion's steps once the largest adoption delta is below this. */
     eps: Double = 1e-4) {
-  require(actCap < 1.0 && actCap > 0.0, "actCap must be in (0,1)")
   require(maxSteps >= 1, "maxSteps must be >= 1")
   // the diffusion's zero-rate fast paths rely on 0 · rate-term being ±0
   Seq("eta" -> eta, "beta" -> beta, "gamma" -> gamma, "extraScale" -> extraScale).foreach { case (name, r) =>

@@ -48,9 +48,9 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *    of rounds ≥ t, and that state depends only on the seeds of rounds < t
   *    and the mask. So a campaign S :+ c with c at round t, resumed
   *    ([[resume]]) from S's [[RoundState]] at round t, equals `run(S :+ c)`
-  *    bit for bit. The precondition, checked by [[resume]], is that the
-  *    seeds of rounds < t and the mask are those the state was produced
-  *    under. [[run]] is the resume from round 1; there is one step loop.
+  *    bit for bit. [[resume]] runs on the state's instance and mask and
+  *    checks that the seeds of rounds < t are the state's. [[run]] is the
+  *    resume from round 1; there is one step loop.
   */
 object LocalDiffusion {
 
@@ -98,6 +98,7 @@ object LocalDiffusion {
 
   /** The state before round 1: nothing adopted, initial weightings. */
   def start(inst: ProblemInstance, mask: Option[Array[Boolean]] = None): RoundState = {
+    requireUserMask(inst, mask, "mask")
     val w0 = Dynamics.initUserWeights(inst)
     new RoundState(
       1, inst, Set.empty, mask.map(_.clone()).orNull,
@@ -106,43 +107,36 @@ object LocalDiffusion {
       new Array[Int](inst.nUsers), 0)
   }
 
+  private def requireUserMask(inst: ProblemInstance, mask: Option[Array[Boolean]], name: String): Unit =
+    mask.foreach(m => require(m.length == inst.nUsers, s"$name has ${m.length} entries, expected nUsers=${inst.nUsers}"))
+
   /** The campaign `seeds` over rounds 1..T. */
   def run(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]] = None): DiffusionResult =
-    simulate(inst, start(inst, mask), seeds, mask, record = false)._1
+    simulate(start(inst, mask), seeds, record = false)._1
 
   /** The campaign `seeds` resumed from `from`: rounds from.t..T run on a
-    * copy of the state, so one state can be forked any number of times.
-    * The result equals `run(inst, seeds, mask)` bit for bit, because the
-    * rounds before from.t depend only on the seeds of those rounds; this
-    * call therefore requires that `seeds` of rounds < from.t and `mask`
-    * equal the ones `from` was produced under, on the same instance. It
-    * also returns the campaign's state at the start of every round
-    * from.t..T, in round order, with `from` itself first.
+    * copy of the state, under its instance and mask, so one state can be
+    * forked any number of times. The result equals `run(inst, seeds, mask)`
+    * bit for bit, because the rounds before from.t depend only on the seeds
+    * of those rounds; this call therefore requires that `seeds` of rounds
+    * < from.t equal the ones `from` was produced under. It also returns the
+    * campaign's state at the start of every round from.t..T, in round
+    * order, with `from` itself first.
     */
-  def resume(
-      inst: ProblemInstance,
-      from: RoundState,
-      seeds: Seq[Seed],
-      mask: Option[Array[Boolean]] = None): (DiffusionResult, Vector[RoundState]) = {
-    val (res, later) = simulate(inst, from.copy(), seeds, mask, record = true)
+  def resume(from: RoundState, seeds: Seq[Seed]): (DiffusionResult, Vector[RoundState]) = {
+    val (res, later) = simulate(from.copy(), seeds, record = true)
     (res, from +: later)
   }
 
   /** Runs rounds st.t..T, updating `st`'s arrays in place; with `record`,
     * also returns the state at the start of every round st.t+1..T.
     */
-  private def simulate(
-      inst: ProblemInstance,
-      st: RoundState,
-      seeds: Seq[Seed],
-      mask: Option[Array[Boolean]],
-      record: Boolean): (DiffusionResult, Vector[RoundState]) = {
+  private def simulate(st: RoundState, seeds: Seq[Seed], record: Boolean): (DiffusionResult, Vector[RoundState]) = {
+    val inst = st.inst
     seeds.foreach { s =>
       require(s.t <= inst.T, s"seed round ${s.t} exceeds T=${inst.T}")
       require(s.user >= 0 && s.user < inst.nUsers && s.item >= 0 && s.item < inst.nItems, s"bad seed $s")
     }
-    require(st.inst eq inst, "round state belongs to another instance")
-    require(java.util.Arrays.equals(st.mask, mask.orNull), "round state was produced under another mask")
     require(st.t == 1 || seeds.iterator.filter(_.t < st.t).toSet == st.prefix,
       s"round state was produced under other seeds before round ${st.t}")
     val n = inst.nUsers
@@ -353,6 +347,7 @@ object LocalDiffusion {
     * counting only users in `countMask` (σ^τ of Eq. 5).
     */
   def sigmaOf(inst: ProblemInstance, res: DiffusionResult, countMask: Option[Array[Boolean]] = None): Double = {
+    requireUserMask(inst, countMask, "countMask")
     var acc = 0.0
     var v = 0
     while (v < inst.nUsers) {
@@ -376,6 +371,7 @@ object LocalDiffusion {
     * (it does not depend on y), and the zero-rate paths of [[run]] apply.
     */
   def pi(inst: ProblemInstance, res: DiffusionResult, countMask: Option[Array[Boolean]] = None): Double = {
+    requireUserMask(inst, countMask, "countMask")
     val useSim = inst.params.gamma != 0.0
     val usePref = inst.params.beta != 0.0
     val sumA = if (useSim) res.a.map(_.sum) else null

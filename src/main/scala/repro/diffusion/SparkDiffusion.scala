@@ -3,6 +3,7 @@ package repro.diffusion
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{ProblemInstance, Seed}
+import repro.dynamics.Dynamics
 
 /** Spark DataFrame implementation of the mean-field campaign simulator —
   * the same semantics as [[LocalDiffusion]] (parity-tested), expressed as
@@ -75,7 +76,7 @@ object SparkDiffusion {
         .join(ev, Seq("user", "meta"), "left")
         .join(classSize, "meta")
         .select(col("user"), col("meta"), col("cls"),
-          (lit(p.w0) + lit(p.eta) * coalesce(col("e"), lit(0.0))).as("rw"))
+          (lit(Dynamics.W0) + lit(p.eta) * coalesce(col("e"), lit(0.0))).as("rw"))
       val norm = raw.groupBy("user", "cls").agg(sum("rw").as("z"))
       val upd = raw
         .join(norm, Seq("user", "cls"))
@@ -117,7 +118,7 @@ object SparkDiffusion {
     def dynActEdges(srcs: DataFrame): DataFrame = {
       val live = edges.join(srcs, col("src") === col("user")).drop("user")
       if (p.gamma == 0.0)
-        live.select(col("src"), col("dst"), least(lit(p.actCap), col("baseAct")).as("act"))
+        live.select(col("src"), col("dst"), least(lit(Dynamics.ActCap), col("baseAct")).as("act"))
       else {
         val sums = adopt.groupBy("user").agg(sum("a").as("sa"))
         val dot = live
@@ -135,7 +136,7 @@ object SparkDiffusion {
             col("src"),
             col("dst"),
             least(
-              lit(p.actCap),
+              lit(Dynamics.ActCap),
               col("baseAct") + lit(p.gamma) * (col("dot") /
                 (coalesce(col("su.sa"), lit(0.0)) + coalesce(col("sv.sa"), lit(0.0)) - col("dot") + lit(1e-9)))
             ).as("act"))

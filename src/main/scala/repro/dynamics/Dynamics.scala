@@ -12,6 +12,11 @@ import repro.core.ProblemInstance
   */
 object Dynamics {
 
+  /** Prior mass on each meta-graph weighting (only η/W0 matters: DESIGN.md Sec. 4). */
+  val W0: Double = 1.0
+  /** Hard cap on the dynamic P_act (keeps 1 - p > 0 for log-space products). */
+  val ActCap: Double = 0.9
+
   /** Initial per-user weightings: uniform within the complementary class
     * and within the substitutable class (so each class sums to 1).
     */
@@ -54,7 +59,7 @@ object Dynamics {
     var k = 0
     while (k < metas.length) {
       val m = metas(k)
-      out(m) = p.w0 + p.eta * evidence(inst, a, m)
+      out(m) = W0 + p.eta * evidence(inst, a, m)
       sum += out(m)
       k += 1
     }
@@ -138,7 +143,7 @@ object Dynamics {
     if (denom <= 0.0) 0.0 else dot / denom
   }
 
-  /** Dynamic influence strength P_act(u,v) = min(actCap, base + γ·sim). */
+  /** Dynamic influence strength P_act(u,v) = min(ActCap, base + γ·sim). */
   def act(inst: ProblemInstance, base: Double, similarity: Double): Double =
-    math.min(inst.params.actCap, base + inst.params.gamma * similarity)
+    math.min(ActCap, base + inst.params.gamma * similarity)
 }

@@ -23,7 +23,6 @@ final case class KGSpec(
     nBrands: Int = 12,
     nCategories: Int = 8,
     nTags: Int = 30,
-    nShops: Int = 10,
     featuresPerItem: Int = 4,
     tagsPerItem: Int = 3,
     sixType: Boolean = true,
@@ -45,6 +44,9 @@ object KGGenerator {
   val CategoryBase = 3000000L
   val TagBase      = 4000000L
   val ShopBase     = 5000000L
+
+  /** Shops an item of a 6-type KG is sold at (no meta-graph reads SOLD_AT). */
+  val NShops: Int = 10
 
   /** Zipf-ish draw over [0, n): rank r with probability ∝ 1/(r+1)^alpha. */
   private def zipfDraw(rnd: Random, n: Int, alpha: Double): Int = {
@@ -94,7 +96,7 @@ object KGGenerator {
           if (seen.add(feat)) b += ((item, FeatureBase + feat, KGSchema.Supports))
           f += 1
         }
-        b += ((item, ShopBase + rnd.nextInt(spec.nShops), KGSchema.SoldAt))
+        b += ((item, ShopBase + rnd.nextInt(NShops), KGSchema.SoldAt))
       }
       // tags exist in both the 3-type and 6-type configurations
       var tIdx = 0
@@ -109,13 +111,11 @@ object KGGenerator {
       }
       x += 1
     }
-    if (!spec.sixType) {
-      // taxonomy edges give the 3-type KG its third edge type
-      var c = 0
-      while (c < spec.nCategories) {
-        b += ((CategoryBase + c, TagBase + rnd.nextInt(spec.nTags), KGSchema.CatTag))
-        c += 1
-      }
+    // taxonomy edges, drawn after every item's draws
+    var c = 0
+    while (c < spec.nCategories) {
+      b += ((CategoryBase + c, TagBase + rnd.nextInt(spec.nTags), KGSchema.CatTag))
+      c += 1
     }
     b.result()
   }

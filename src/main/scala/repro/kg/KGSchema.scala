@@ -3,10 +3,12 @@ package repro.kg
 /** Node/edge type vocabulary of the synthetic heterogeneous information
   * networks (HINs) standing in for the paper's real KGs.
   *
-  * 6-type datasets (Amazon-lite, Yelp-lite) use all node types and the six
-  * edge types; 3-type datasets (Douban-lite, Gowalla-lite) use ITEM / TAG /
-  * CATEGORY with HAS_TAG / BELONGS_TO / CAT_TAG, matching the paper's
-  * "KG has N nodes of 3 (or 6) types and edges of 3 (or 6) types".
+  * 6-type datasets (Amazon-lite, Yelp-lite) use all six node types and all
+  * six edge types; 3-type datasets (Douban-lite, Gowalla-lite) use ITEM /
+  * TAG / CATEGORY with HAS_TAG / BELONGS_TO / CAT_TAG, matching the paper's
+  * "KG has N nodes of 3 (or 6) types and edges of 3 (or 6) types". Both
+  * shapes carry the CAT_TAG taxonomy edges; no meta-graph reads them or
+  * SOLD_AT, so they shape the KG but not the relevance.
   */
 object KGSchema {
   // node types

@@ -1,7 +1,6 @@
 package repro.kg
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Computes the meta-graph relevance `s(x,y|m)` from the KG edge DataFrame
@@ -38,12 +37,15 @@ object RelevanceEngine {
 
   /** Relevance per pair: DataFrame(x, y, s) with s = cnt / max(cnt) ∈ (0,1]. */
   def relevance(edges: DataFrame, m: MetaGraph): DataFrame = {
-    val counts = pairCounts(edges, m)
-    val w = Window.partitionBy() // global max; pair tables are small by construction
-    counts.select(
-      col("x"),
-      col("y"),
-      (col("cnt").cast("double") / max(col("cnt")).over(w).cast("double")).as("s"))
+    // one global aggregate carries the max and the (small by construction)
+    // pair table, so the counts are computed once and stay off the driver
+    pairCounts(edges, m)
+      .agg(max(col("cnt")).as("maxCnt"), collect_list(struct(col("x"), col("y"), col("cnt"))).as("ps"))
+      .select(col("maxCnt"), explode(col("ps")).as("p"))
+      .select(
+        col("p.x").as("x"),
+        col("p.y").as("y"),
+        (col("p.cnt").cast("double") / col("maxCnt").cast("double")).as("s"))
   }
 
   /** Relevance for a whole meta-graph set: DataFrame(meta, kind, x, y, s). */

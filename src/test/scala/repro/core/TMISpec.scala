@@ -75,8 +75,8 @@ class TMISpec extends AnyFunSuite {
   test("clusterNominees: socially close complementary nominees merge, distant ones do not") {
     val inst = starInst
     val ns = Vector(Nominee(0, 0), Nominee(1, 1), Nominee(5, 0))
-    val clusters = TMI.clusterNominees(inst, ns, TMI.Config(lambda = 2.0, clusterThresh = 1.5))
-    // (0,0) and (1,1): hop dist 1, rC=0.7 -> score 1 - 1.4 <= 1.5: merged
+    val clusters = TMI.clusterNominees(inst, ns, TMI.Config())
+    // (0,0) and (1,1): hop dist 1, rC=0.7 -> score 1 - 1.4 <= 2.0: merged
     // (5,0) unreachable from both: own cluster
     assert(clusters.size == 2)
     val big = clusters.find(_.size == 2).get
@@ -85,9 +85,9 @@ class TMISpec extends AnyFunSuite {
 
   test("clusterNominees separates substitutable items at the same distance") {
     val inst = starInst
-    // items 0 and 2 are substitutes (rS = 0.6): 1 - 2*(0 - 0.6) = 2.2 > 1.5
+    // items 0 and 2 are substitutes (rS = 0.6): 1 - 2*(0 - 0.6) = 2.2 > 2.0
     val ns = Vector(Nominee(0, 0), Nominee(1, 2))
-    val clusters = TMI.clusterNominees(inst, ns, TMI.Config(lambda = 2.0, clusterThresh = 1.5))
+    val clusters = TMI.clusterNominees(inst, ns, TMI.Config())
     assert(clusters.size == 2)
   }
 

@@ -16,8 +16,7 @@ class TypesSpec extends AnyFunSuite {
     assert(f.extraScale == 0.4 && f.maxSteps == p.maxSteps)
   }
 
-  test("Params validates actCap and maxSteps") {
-    assertThrows[IllegalArgumentException](Params(actCap = 1.0))
+  test("Params validates maxSteps") {
     assertThrows[IllegalArgumentException](Params(maxSteps = 0))
   }
 

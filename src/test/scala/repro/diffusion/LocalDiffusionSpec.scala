@@ -203,7 +203,7 @@ class LocalDiffusionSpec extends AnyFunSuite {
 
   /** S's state at the start of every round t, at index t - 1. */
   private def roundStates(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]]) =
-    LocalDiffusion.resume(inst, LocalDiffusion.start(inst, mask), seeds, mask)._2
+    LocalDiffusion.resume(LocalDiffusion.start(inst, mask), seeds)._2
 
   private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
 
@@ -222,14 +222,14 @@ class LocalDiffusionSpec extends AnyFunSuite {
       assert(states.map(_.t) == (1 to inst.T), name)
       for (t <- 1 to inst.T) {
         val withC = s :+ Seed(u, x, t)
-        val (forked, later) = LocalDiffusion.resume(inst, states(t - 1), withC, mask)
+        val (forked, later) = LocalDiffusion.resume(states(t - 1), withC)
         assertSameBits(inst, mask, forked, LocalDiffusion.run(inst, withC, mask), s"$name t=$t")
         assert(later.map(_.t) == (t to inst.T) && (later.head eq states(t - 1)), s"$name t=$t")
         // the fork's own states serve the next fork, as in CR-Greedy
         val next = states.take(t - 1) ++ later
         for (t2 <- 1 to inst.T) {
           val again = withC :+ Seed((u + 1) % inst.nUsers, (x + 1) % inst.nItems, t2)
-          assertSameBits(inst, mask, LocalDiffusion.resume(inst, next(t2 - 1), again, mask)._1,
+          assertSameBits(inst, mask, LocalDiffusion.resume(next(t2 - 1), again)._1,
             LocalDiffusion.run(inst, again, mask), s"$name t=$t t2=$t2")
         }
       }
@@ -242,9 +242,9 @@ class LocalDiffusionSpec extends AnyFunSuite {
       for (t <- 1 to inst.T) {
         val c1 = s :+ Seed(u, x, t)
         val c2 = s :+ Seed(u, (x + 1) % inst.nItems, t)
-        val f1 = LocalDiffusion.resume(inst, states(t - 1), c1, mask)._1
-        val f2 = LocalDiffusion.resume(inst, states(t - 1), c2, mask)._1
-        val f1Again = LocalDiffusion.resume(inst, states(t - 1), c1, mask)._1
+        val f1 = LocalDiffusion.resume(states(t - 1), c1)._1
+        val f2 = LocalDiffusion.resume(states(t - 1), c2)._1
+        val f1Again = LocalDiffusion.resume(states(t - 1), c1)._1
         assertSameBits(inst, mask, f1, LocalDiffusion.run(inst, c1, mask), s"$name t=$t c1")
         assertSameBits(inst, mask, f2, LocalDiffusion.run(inst, c2, mask), s"$name t=$t c2")
         assertSameBits(inst, mask, f1Again, f1, s"$name t=$t c1 again")
@@ -253,25 +253,30 @@ class LocalDiffusionSpec extends AnyFunSuite {
     }
   }
 
-  test("a state produced under other earlier seeds, another mask or another instance is rejected") {
+  test("a state produced under other earlier seeds is rejected") {
     forkCases.foreach { case (name, inst, mask, s, (u, x)) =>
       val states = roundStates(inst, s, mask)
       val extra = (0 until inst.nUsers).map(Seed(_, x, 1)).find(e => !s.contains(e)).get
-      val otherMask = Some(Array.tabulate(inst.nUsers)(v => v % 3 != 0))
-      for (t <- 1 to inst.T) {
+      for (t <- 2 to inst.T) {
         val withC = s :+ Seed(u, x, t)
-        if (t >= 2) {
-          assertThrows[IllegalArgumentException](LocalDiffusion.resume(inst, states(t - 1), withC :+ extra, mask), s"$name t=$t")
-          if (s.exists(_.t < t))
-            assertThrows[IllegalArgumentException](
-              LocalDiffusion.resume(inst, states(t - 1), withC.filterNot(_.t < t), mask), s"$name t=$t")
-        }
-        assertThrows[IllegalArgumentException](LocalDiffusion.resume(inst, states(t - 1), withC, otherMask), s"$name t=$t")
-        if (mask.isDefined)
-          assertThrows[IllegalArgumentException](LocalDiffusion.resume(inst, states(t - 1), withC, None), s"$name t=$t")
-        assertThrows[IllegalArgumentException](
-          LocalDiffusion.resume(inst.withT(inst.T), states(t - 1), withC, mask), s"$name t=$t")
+        assertThrows[IllegalArgumentException](LocalDiffusion.resume(states(t - 1), withC :+ extra), s"$name t=$t")
+        if (s.exists(_.t < t))
+          assertThrows[IllegalArgumentException](
+            LocalDiffusion.resume(states(t - 1), withC.filterNot(_.t < t)), s"$name t=$t")
       }
+    }
+  }
+
+  test("a mask or countMask of the wrong length is rejected") {
+    val inst = TestInstances.random(1L, nUsers = 20, nItems = 6)
+    val seeds = Seq(Seed(0, 0, 1))
+    val res = LocalDiffusion.run(inst, seeds)
+    for (len <- Seq(0, inst.nUsers - 1, inst.nUsers + 1)) {
+      val bad = Some(Array.fill(len)(true))
+      assertThrows[IllegalArgumentException](LocalDiffusion.start(inst, bad), s"start len=$len")
+      assertThrows[IllegalArgumentException](LocalDiffusion.run(inst, seeds, bad), s"run len=$len")
+      assertThrows[IllegalArgumentException](LocalDiffusion.sigmaOf(inst, res, bad), s"sigmaOf len=$len")
+      assertThrows[IllegalArgumentException](LocalDiffusion.pi(inst, res, bad), s"pi len=$len")
     }
   }
 }

@@ -130,7 +130,7 @@ class DynamicsSpec extends AnyFunSuite {
   }
 
   test("act caps at actCap") {
-    assert(Dynamics.act(inst, 0.85, 1.0) == inst.params.actCap)
+    assert(Dynamics.act(inst, 0.85, 1.0) == Dynamics.ActCap)
     assert(math.abs(Dynamics.act(inst, 0.2, 0.5) - (0.2 + inst.params.gamma * 0.5)) < eps)
   }
 
