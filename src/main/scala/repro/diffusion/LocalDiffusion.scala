@@ -199,7 +199,10 @@ object LocalDiffusion {
       maxD
     }
 
-    val seedsByT = seeds.groupBy(_.t)
+    // the seeds sorted by (round, user) and walked once; at the start of
+    // round t, `nextSeed` indexes its first seed
+    val ordered = seeds.toArray.sortWith((x, y) => x.t < y.t || (x.t == y.t && x.user < y.user))
+    var nextSeed = ordered.count(_.t < st.t)
     val raw = new Array[Double](nI)
     val notProm = new Array[Array[Double]](n)
     val receivers = new Array[Int](n)
@@ -215,10 +218,15 @@ object LocalDiffusion {
       // ζ_t = 0: seed adoptions
       next.clear()
       var seedMax = 0.0
-      seedsByT.getOrElse(t, Nil).filter(s => active(s.user)).groupBy(_.user).toSeq.sortBy(_._1).foreach {
-        case (v, vs) =>
-          vs.foreach(s => raw(s.item) = math.max(raw(s.item), 1.0 - a(v)(s.item)))
+      while (nextSeed < ordered.length && ordered(nextSeed).t == t) {
+        val v = ordered(nextSeed).user
+        val first = nextSeed
+        while (nextSeed < ordered.length && ordered(nextSeed).t == t && ordered(nextSeed).user == v) nextSeed += 1
+        if (active(v)) {
+          var k = first
+          while (k < nextSeed) { val x = ordered(k).item; raw(x) = math.max(raw(x), 1.0 - a(v)(x)); k += 1 }
           seedMax = math.max(seedMax, applyRow(v, raw, next))
+        }
       }
       // each promotion re-diffuses from every current adopter (multi-round
       // IM semantics of [5], which the paper follows): the round's frontier
