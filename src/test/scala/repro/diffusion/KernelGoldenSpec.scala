@@ -8,58 +8,121 @@ import scala.collection.mutable.ArrayBuffer
 import scala.io.Source
 import scala.util.Random
 
-/** Bit-exact regression suite for the mean-field kernel and the algorithms
-  * built on it. The expected values in `kernel-golden.txt` were captured
-  * from the straightforward kernel (dense similarity, every dynamic factor
-  * evaluated even at zero rate, boxed step state); any rewrite of
-  * [[LocalDiffusion]] must reproduce them to the last bit. The OPT rows
+/** Regression suite for the mean-field kernel and the algorithms built on
+  * it. The expected values in `kernel-golden.txt` were captured from the
+  * straightforward kernel (dense similarity, every dynamic factor
+  * evaluated even at zero rate, boxed step state). The OPT rows
   * (`defaultPool` order, then `run`'s seeds and σ) were added later,
   * captured before OPT's pool ranking and budget check moved onto the
   * shared `FrozenSpread` and `ProblemInstance.fits`. The CR-Greedy and
   * TDSI rows (T = 5, dynamic params) were captured before CR-Greedy
   * started forking candidates from the scheduled campaign's round state.
+  * `kernel-golden-aw.txt` holds every value of `a` and `w` of the campaign
+  * rows of [[KernelGoldenSpec.elementSeeds]], captured before the
+  * item-association step was reassociated (DESIGN.md Sec. 4, "Association
+  * step").
   *
-  * Regenerate only from a commit whose kernel is trusted:
-  * `sbt "Test/runMain repro.diffusion.KernelGoldenSpec src/test/resources/repro/diffusion/kernel-golden.txt"`
+  * That step sums in another order than the kernel the tables were
+  * captured from, so the comparison is not bit for bit. Step counts, seeds,
+  * pairs and rounds must be equal; σ, π and Σw must be within
+  * [[KernelGoldenSpec.Tol]] relative, and every `a` and `w` value within
+  * `Tol` absolute. The campaign rows' hashes of `a` and `w` stay in the
+  * table but are not compared.
+  *
+  * Both tables are the reference for that reassociation: do not regenerate
+  * them from a later kernel. They are written by
+  * `sbt "Test/runMain repro.diffusion.KernelGoldenSpec <golden file> <a, w file>"`.
   */
 class KernelGoldenSpec extends AnyFunSuite {
   import KernelGoldenSpec._
 
-  private val golden: Map[String, String] = {
-    val src = Source.fromResource("repro/diffusion/kernel-golden.txt")
+  private def load(name: String): Map[String, String] = {
+    val src = Source.fromResource(s"repro/diffusion/$name")
     try src.getLines().filter(_.nonEmpty).map { l => val (k, v) = l.splitAt(l.indexOf('|')); k -> v.tail }.toMap
     finally src.close()
   }
+
+  private val golden = load("kernel-golden.txt")
+  private val goldenElements = load("kernel-golden-aw.txt")
 
   private lazy val (optRows, otherRows) = algorithmRows.partition(_._1.startsWith("opt"))
   private lazy val (roundSearchRows, heuristicRows) =
     otherRows.partition(r => r._1.startsWith("crgreedy") || r._1.startsWith("tdsi"))
 
+  /** Compares each row with its golden row token by token and returns the
+    * largest relative difference. Tokens at the indices in `skip` are not
+    * compared; a token `exact` accepts (given its index and golden value)
+    * must be equal; every other one holds a double's bits and must be
+    * within [[Tol]] relative.
+    */
+  private def check(rows: Seq[(String, String)], exact: (Int, String) => Boolean, skip: Set[Int] = Set.empty): Double =
+    rows.flatMap { case (key, row) =>
+      val got = row.split(" ", -1)
+      val want = golden(key).split(" ", -1)
+      assert(got.length == want.length, key)
+      got.indices.filterNot(skip).map { i =>
+        if (exact(i, want(i))) { assert(got(i) == want(i), s"$key, token $i"); 0.0 }
+        else {
+          val d = relDiff(value(got(i)), value(want(i)))
+          assert(d <= Tol, s"$key, token $i: relative difference $d")
+          d
+        }
+      }
+    }.foldLeft(0.0)(math.max)
+
+  /** Algorithm rows: the tokens that hold bits are σ; seeds, pairs and
+    * rounds must be equal.
+    */
+  private def checkAlgorithms(rows: Seq[(String, String)]): Unit =
+    info(f"largest relative difference in sigma: ${check(rows, (_, tok) => !isBits(tok))}%.3g")
+
   test("golden table covers every campaign and algorithm case") {
     assert(golden.keySet == (campaignRows ++ algorithmRows).map(_._1).toSet)
+    assert(goldenElements.keySet == elementRows.map(_._1).toSet)
   }
 
-  test("LocalDiffusion reproduces steps, a, w, sigma and pi bit for bit") {
-    campaignRows.foreach { case (key, value) => assert(value == golden(key), key) }
+  test("LocalDiffusion keeps steps; sigma, pi and sum w within 1e-12") {
+    // tokens: steps σ π Σw hash(a) hash(w)
+    val worst = check(campaignRows, (i, _) => i == 0, skip = Set(4, 5))
+    info(f"largest relative difference in sigma, pi or sum w: $worst%.3g")
   }
 
-  test("Dysim, BundleGRD, HAG and PS reproduce their seeds and sigma bit for bit") {
-    heuristicRows.foreach { case (key, value) => assert(value == golden(key), key) }
+  test("LocalDiffusion keeps a and w within 1e-12 on instance seeds 1-3") {
+    val worst = elementRows.map { case (key, row) =>
+      val got = row.split(" ").map(value)
+      val want = goldenElements(key).split(" ").map(value)
+      assert(got.length == want.length, key)
+      got.indices.map { i =>
+        val d = math.abs(got(i) - want(i))
+        assert(d <= Tol, s"$key, value $i: absolute difference $d")
+        d
+      }.max
+    }.max
+    info(f"largest absolute difference in a or w: $worst%.3g")
   }
 
-  test("OPT reproduces its pool, seeds and sigma bit for bit") {
-    optRows.foreach { case (key, value) => assert(value == golden(key), key) }
+  test("Dysim, BundleGRD, HAG and PS keep seeds; sigma within 1e-12") {
+    checkAlgorithms(heuristicRows)
   }
 
-  test("CR-Greedy and TDSI reproduce their rounds and sigma bit for bit at T = 5") {
-    roundSearchRows.foreach { case (key, value) => assert(value == golden(key), key) }
+  test("OPT keeps its pool and seeds; sigma within 1e-12") {
+    checkAlgorithms(optRows)
+  }
+
+  test("CR-Greedy and TDSI keep rounds at T = 5; sigma within 1e-12") {
+    checkAlgorithms(roundSearchRows)
   }
 }
 
 object KernelGoldenSpec {
 
+  /** Relative bound on σ, π and Σw; absolute bound on each `a` and `w`. */
+  val Tol = 1e-12
+
   val instanceSeeds: Seq[Long] = 1L to 20L
   val algorithmSeeds: Seq[Long] = Seq(2L, 5L, 9L, 14L, 19L)
+  /** The instance seeds whose campaigns are also pinned value by value. */
+  val elementSeeds: Seq[Long] = 1L to 3L
 
   def instance(seed: Long): ProblemInstance =
     TestInstances.random(seed, nUsers = 40, nItems = 12, nEdges = 120)
@@ -79,6 +142,16 @@ object KernelGoldenSpec {
 
   private def bits(d: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToLongBits(d))
 
+  /** The double whose bits `bits` wrote. */
+  def value(hex: String): Double = java.lang.Double.longBitsToDouble(java.lang.Long.parseUnsignedLong(hex, 16))
+
+  /** Whether a token holds a double's bits (seeds and pairs hold commas). */
+  def isBits(tok: String): Boolean = tok.nonEmpty && tok.forall(Character.digit(_, 16) >= 0)
+
+  /** |x − y| / max(|x|, |y|), and 0 when x == y. */
+  def relDiff(x: Double, y: Double): Double =
+    if (x == y) 0.0 else math.abs(x - y) / math.max(math.abs(x), math.abs(y))
+
   /** `steps σ π Σw hash(a) hash(w)` of one campaign; with a mask, σ and π
     * count only the masked users (as TDSI's σ^τ and π^τ do).
     */
@@ -94,17 +167,31 @@ object KernelGoldenSpec {
       java.util.Arrays.deepHashCode(res.w.asInstanceOf[Array[AnyRef]]).toHexString).mkString(" ")
   }
 
-  def campaignRows: Seq[(String, String)] =
+  /** Key, instance, seeds and mask of every campaign case of `seeds`. */
+  private def campaignCases(seeds: Seq[Long]): Seq[(String, ProblemInstance, Seq[Seed], Option[Array[Boolean]])] =
     for {
-      seed <- instanceSeeds
+      seed <- seeds
       (pName, params) <- paramSets
       t <- Seq(1, 3)
       masked <- Seq(false, true)
     } yield {
       val inst = instance(seed).withParams(params).withT(t)
       val mask = if (masked) Some(halfMask(seed, inst.nUsers)) else None
-      s"campaign $seed $pName T=$t ${if (masked) "half" else "all"}" ->
-        campaign(inst, campaignSeeds(seed, inst), mask)
+      (s"campaign $seed $pName T=$t ${if (masked) "half" else "all"}", inst, campaignSeeds(seed, inst), mask)
+    }
+
+  def campaignRows: Seq[(String, String)] =
+    campaignCases(instanceSeeds).map { case (key, inst, seeds, mask) => key -> campaign(inst, seeds, mask) }
+
+  /** The bits of every `a` value (user-major) under `<key> a`, and of every
+    * `w` value under `<key> w`, for the campaign cases of [[elementSeeds]].
+    */
+  def elementRows: Seq[(String, String)] =
+    campaignCases(elementSeeds).flatMap { case (key, inst, seeds, mask) =>
+      val res = LocalDiffusion.run(inst, seeds, mask)
+      Seq(
+        s"$key a" -> res.a.iterator.flatMap(_.iterator).map(bits).mkString(" "),
+        s"$key w" -> res.w.iterator.flatMap(_.iterator).map(bits).mkString(" "))
     }
 
   private def algorithm(inst: ProblemInstance, seeds: Seq[Seed]): String =
@@ -160,10 +247,13 @@ object KernelGoldenSpec {
         s"tdsi fallback $seed" -> tdsiRow(seed, outside = true))
     }
 
-  /** Writes the golden table to the path given as the only argument. */
-  def main(args: Array[String]): Unit = {
-    val out = new java.io.PrintWriter(args(0), "UTF-8")
-    try (campaignRows ++ algorithmRows).foreach { case (k, v) => out.println(s"$k|$v") }
-    finally out.close()
-  }
+  /** Writes the golden table to the first argument's path and the `a`, `w`
+    * table to the second's.
+    */
+  def main(args: Array[String]): Unit =
+    Seq(args(0) -> (campaignRows ++ algorithmRows), args(1) -> elementRows).foreach { case (path, rows) =>
+      val out = new java.io.PrintWriter(path, "UTF-8")
+      try rows.foreach { case (k, v) => out.println(s"$k|$v") }
+      finally out.close()
+    }
 }
