@@ -1,8 +1,15 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.io.Source
 
 class CostModelSpec extends AnyFunSuite {
+
+  test("u01, basePref and priceImportance keep their golden bits") {
+    val src = Source.fromResource("repro/data/cost-golden.txt")
+    val golden = try src.getLines().filter(_.nonEmpty).toVector finally src.close()
+    assert(CostModelSpec.goldenRows == golden)
+  }
 
   test("u01 is deterministic and in [0,1)") {
     for (a <- 0 until 50; b <- 0 until 5) {
@@ -50,5 +57,32 @@ class CostModelSpec extends AnyFunSuite {
     assert(ws.forall(w => w >= 0.2 && w <= 3.0))
     val low = ws.count(_ < 1.6).toDouble / ws.size
     assert(low > 0.3 && low < 0.7, s"fraction below midpoint: $low")
+  }
+}
+
+/** Every dataset's preferences, costs and importances derive from
+  * [[CostModel.u01]]'s hash, so `cost-golden.txt` pins its values on a
+  * fixed grid. It is written by
+  * `sbt "Test/runMain repro.data.CostModelSpec src/test/resources/repro/data/cost-golden.txt"`.
+  */
+object CostModelSpec {
+
+  private def bits(d: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToLongBits(d))
+
+  def goldenRows: Vector[String] = {
+    val u01 = for {
+      a <- Seq(0, 1, 2, 17, 123, 4096, -3, Int.MaxValue)
+      b <- Seq(0, 1, 3, 777)
+      seed <- Seq(0L, 7L, 42L, -1L, 1L << 40)
+    } yield s"u01 $a $b $seed|${bits(CostModel.u01(a, b, seed))}"
+    val pref = for (u <- 0 until 10; x <- 0 until 5) yield s"basePref $u $x 7|${bits(CostModel.basePref(u, x, 7L))}"
+    val price = for (seed <- Seq(9L, 42L); x <- 0 until 20) yield s"priceImportance $x $seed|${bits(CostModel.priceImportance(x, seed))}"
+    (u01 ++ pref ++ price).toVector
+  }
+
+  def main(args: Array[String]): Unit = {
+    val out = new java.io.PrintWriter(args(0), "UTF-8")
+    try goldenRows.foreach(out.println)
+    finally out.close()
   }
 }
