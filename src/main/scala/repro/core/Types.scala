@@ -69,9 +69,18 @@ final class MetaPairs(val x: Array[Int], val y: Array[Int], val s: Array[Double]
 
 /** One meta-graph's relevance as compressed rows: item x's neighbours y and
   * their s(x,y) are `nbr(j)`, `s(j)` for j in `start(x) until start(x + 1)`,
-  * in [[MetaPairs]] order.
+  * in [[MetaPairs]] order (ascending y).
   */
 final class MetaNbrs(val start: Array[Int], val nbr: Array[Int], val s: Array[Double]) extends Serializable {
+
+  /** Σ_y s(x,y) per item x, summed in row order. */
+  val rowSum: Array[Double] = Array.tabulate(start.length - 1) { x =>
+    var r = 0.0
+    var j = start(x)
+    while (j < start(x + 1)) { r += s(j); j += 1 }
+    r
+  }
+
   def apply(x: Int): Seq[(Int, Double)] = (start(x) until start(x + 1)).map(j => (nbr(j), s(j)))
 }
 

@@ -28,8 +28,17 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   * `mask` (if given) restricts the diffusion to the induced subgraph of the
   * masked users (used for per-target-market evaluations σ^τ in TDSI).
   *
-  * Exact fast paths (DESIGN.md Sec. 4). The simulator skips only work whose
-  * result cannot change a bit of `a`, `w` or `steps`:
+  * Association step (DESIGN.md Sec. 4). A receiver's association terms
+  * q·P_pref(x)·extraScale·min(1, 1/Σ_y r^C(x,y))·W(c)·s_c(x,y) are summed
+  * per item y over all promoted x first, and each sum is multiplied by
+  * (1 − a(v,y)) once; the cap's row sum is Σ_c W(c)·R_c(x) over the static
+  * row sums [[repro.core.MetaNbrs.rowSum]]. This is the formula in another
+  * summation order: equal in real arithmetic, and within 1e-12 of the
+  * term-by-term sum in floating point (`KernelGoldenSpec`).
+  *
+  * Exact fast paths (DESIGN.md Sec. 4). Apart from that order, the
+  * simulator skips only work whose result cannot change a bit of `a`, `w`
+  * or `steps`:
   *  - zero rates (`Params.frozen` and any rate set to 0): with γ = 0 the
   *    similarity is not computed (P_act = base + 0·sim = base); with β = 0
   *    the cross-elasticity is not computed (P_pref = base + 0·contrib); with
@@ -42,8 +51,8 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *    ([[repro.dynamics.Dynamics.sparseSim]]); every skipped term is +0;
   *  - per-step state lives in reused primitive buffers. Each user's deltas
   *    within a step depend only on last step's state and its own row, so a
-  *    receiver's deltas are applied as soon as they are computed; every sum
-  *    and product keeps the order of the dense formulation;
+  *    receiver's deltas are applied as soon as they are computed; every other
+  *    sum and product keeps the order of the dense formulation;
   *  - forks: round t depends only on the state at its start and the seeds
   *    of rounds ≥ t, and that state depends only on the seeds of rounds < t
   *    and the mask. So a campaign S :+ c with c at round t, resumed
@@ -204,6 +213,7 @@ object LocalDiffusion {
     val ordered = seeds.toArray.sortWith((x, y) => x.t < y.t || (x.t == y.t && x.user < y.user))
     var nextSeed = ordered.count(_.t < st.t)
     val raw = new Array[Double](nI)
+    val ext = new Array[Double](nI) // one receiver's association terms, zero between receivers
     val notProm = new Array[Array[Double]](n)
     val receivers = new Array[Int](n)
     var last = new Deltas(n, nI)
@@ -304,35 +314,30 @@ object LocalDiffusion {
               // with the total association mass of one promotion event
               // bounded by q · P_pref · scale (the r^C row is normalized to
               // sum <= 1 — DESIGN.md Sec. 4; keeps dense complementary
-              // catalogs from exploding super-linearly under bundles)
+              // catalogs from exploding super-linearly under bundles). The
+              // row sum Σ_c w_c·R_c(x) uses the static row sums; the terms
+              // go to `ext` without their (1 − a(v,y)) factor, which is
+              // applied once per item below (a(v,·) holds until applyRow)
               val base = q * pPref * p.extraScale
               if (base > 0.0) {
                 var rowSum = 0.0
                 var c = 0
                 while (c < cMeta.length) {
                   val wm = wv(cMeta(c))
-                  if (wm > 0.0) {
-                    val ss = cNbrs(c).s
-                    var j = cNbrs(c).start(x)
-                    val end = cNbrs(c).start(x + 1)
-                    while (j < end) { rowSum += wm * ss(j); j += 1 }
-                  }
+                  if (wm > 0.0) rowSum += wm * cNbrs(c).rowSum(x)
                   c += 1
                 }
-                val factor = if (rowSum > 1.0) 1.0 / rowSum else 1.0
+                val coef = base * (if (rowSum > 1.0) 1.0 / rowSum else 1.0)
                 c = 0
                 while (c < cMeta.length) {
                   val wm = wv(cMeta(c))
                   if (wm > 0.0) {
+                    val cw = coef * wm
                     val ys = cNbrs(c).nbr
                     val ss = cNbrs(c).s
                     var j = cNbrs(c).start(x)
                     val end = cNbrs(c).start(x + 1)
-                    while (j < end) {
-                      val y = ys(j)
-                      raw(y) += (1.0 - av(y)) * base * factor * wm * ss(j)
-                      j += 1
-                    }
+                    while (j < end) { ext(ys(j)) += cw * ss(j); j += 1 }
                   }
                   c += 1
                 }
@@ -340,6 +345,8 @@ object LocalDiffusion {
             }
             x += 1
           }
+          x = 0
+          while (x < nI) { raw(x) += (1.0 - av(x)) * ext(x); ext(x) = 0.0; x += 1 }
           maxD = math.max(maxD, applyRow(v, raw, next))
           r += 1
         }

@@ -60,6 +60,17 @@ class TypesSpec extends AnyFunSuite {
     }
   }
 
+  test("MetaNbrs.rowSum is the ascending sum of each row's s") {
+    for (seed <- 1L to 5L) {
+      val r = TestInstances.random(seed, nUsers = 4, nItems = 9)
+      for (m <- 0 until r.nMeta; x <- 0 until r.nItems) {
+        val nbrs = r.metaNbrs(m)
+        assert(nbrs.rowSum(x) == nbrs(x).map(_._2).foldLeft(0.0)(_ + _), s"seed $seed meta $m item $x")
+        assert(math.abs(nbrs.rowSum(x) - r.metaS(m)(x).sum) <= 1e-15, s"seed $seed meta $m item $x")
+      }
+    }
+  }
+
   // ---- ProblemInstance validation: one case per rejected field ---------------
 
   private def line3With(cost: Double = 1.0, pref: Double = 0.3, act: Double = 0.3, budget: Double = 10.0) =
