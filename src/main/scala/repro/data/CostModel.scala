@@ -10,7 +10,7 @@ object CostModel {
 
   /** Uniform [0,1) from a hashed triple (stable across JVMs). */
   def u01(a: Int, b: Int, seed: Long): Double = {
-    val h = MurmurHash3.productHash((a, b, seed))
+    val h = MurmurHash3.caseClassHash((a, b, seed))
     (h & 0x7fffffff).toDouble / (Int.MaxValue.toDouble + 1.0)
   }
 
