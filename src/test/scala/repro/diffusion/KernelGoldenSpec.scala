@@ -143,13 +143,13 @@ object KernelGoldenSpec {
   private def bits(d: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToLongBits(d))
 
   /** The double whose bits `bits` wrote. */
-  def value(hex: String): Double = java.lang.Double.longBitsToDouble(java.lang.Long.parseUnsignedLong(hex, 16))
+  private def value(hex: String): Double = java.lang.Double.longBitsToDouble(java.lang.Long.parseUnsignedLong(hex, 16))
 
   /** Whether a token holds a double's bits (seeds and pairs hold commas). */
-  def isBits(tok: String): Boolean = tok.nonEmpty && tok.forall(Character.digit(_, 16) >= 0)
+  private def isBits(tok: String): Boolean = tok.nonEmpty && tok.forall(Character.digit(_, 16) >= 0)
 
   /** |x − y| / max(|x|, |y|), and 0 when x == y. */
-  def relDiff(x: Double, y: Double): Double =
+  private def relDiff(x: Double, y: Double): Double =
     if (x == y) 0.0 else math.abs(x - y) / math.max(math.abs(x), math.abs(y))
 
   /** `steps σ π Σw hash(a) hash(w)` of one campaign; with a mask, σ and π
