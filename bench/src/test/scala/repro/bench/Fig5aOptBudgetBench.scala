@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{ReferenceDiffusion, SparkSpec}
 import repro.baselines.OptBruteForce
 import repro.core.TMI
 import repro.data.{DatasetGen, InstanceBuilder}
@@ -39,12 +39,13 @@ class Fig5aOptBudgetBench extends SparkSpec {
     assert(dysimCol.zip(dysimCol.tail).forall { case (a, c) => c >= a - 1e-6 })
   }
 
-  test("T-5a cross-check: one point evaluated on the Spark engine matches") {
+  test("T-5a cross-check: one point evaluated on the dense reference matches") {
     val inst = InstanceBuilder.build(spark, DatasetGen.amazonSmall(t = 2)).withBudget(3.0)
     val seeds = repro.core.Dysim.run(inst, TMI.Config(maxCandidates = 200))
     val localSigma = LocalDiffusion.sigma(inst, seeds)
-    val sparkSigma = repro.diffusion.SparkDiffusion.sigma(spark, inst, seeds)
-    assert(math.abs(localSigma - sparkSigma) < 1e-4 * math.max(1.0, localSigma),
-      s"local $localSigma vs spark $sparkSigma")
+    val refSigma = ReferenceDiffusion.sigma(inst, ReferenceDiffusion.run(inst, seeds))
+    info(s"local $localSigma, reference $refSigma")
+    assert(math.abs(localSigma - refSigma) < 1e-4 * math.max(1.0, localSigma),
+      s"local $localSigma vs reference $refSigma")
   }
 }

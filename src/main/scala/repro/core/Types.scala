@@ -84,7 +84,7 @@ final class MetaNbrs(val start: Array[Int], val nbr: Array[Int], val s: Array[Do
   def apply(x: Int): Seq[(Int, Double)] = (start(x) until start(x + 1)).map(j => (nbr(j), s(j)))
 }
 
-/** A driver-local IMDPP instance: everything the diffusion engines and the
+/** A driver-local IMDPP instance: everything the diffusion and the
   * seed-selection algorithms consume.
   *
   * Users and items are dense 0-based ints. Meta-graph relevance matrices
@@ -143,8 +143,8 @@ final case class ProblemInstance(
   val nMeta: Int = metaKinds.length
 
   /** Sparse pair list per meta-graph: the entries (x, y, s) with x < y and
-    * s > 0 in row-major order — the hot loops of both diffusion engines
-    * iterate these instead of the dense matrices.
+    * s > 0 in row-major order — the diffusion's hot loops iterate these
+    * instead of the dense matrices.
     */
   val metaPairs: Vector[MetaPairs] = metaS.map { m =>
     val xs = Array.newBuilder[Int]

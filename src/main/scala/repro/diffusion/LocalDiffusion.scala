@@ -11,9 +11,11 @@ import repro.dynamics.Dynamics
   */
 final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]], steps: Int)
 
-/** Driver-local mean-field campaign simulator — the reference
-  * implementation of the diffusion process of Sec. III with the dynamic
-  * factors of Sec. V-A (formulas in [[repro.dynamics.Dynamics]]).
+/** Driver-local mean-field campaign simulator — the one implementation of
+  * the diffusion process of Sec. III with the dynamic factors of Sec. V-A
+  * (formulas in [[repro.dynamics.Dynamics]]). `ReferenceDiffusionSpec`
+  * checks it against `repro.ReferenceDiffusion`, a dense transcription of
+  * DESIGN.md Sec. 4 in the test sources.
   *
   * Semantics per promotion t = 1..T:
   *  - at ζ_t = 0 the round's seeds adopt deterministically (a := 1) and

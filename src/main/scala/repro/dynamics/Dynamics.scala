@@ -6,9 +6,9 @@ import repro.core.ProblemInstance
   * factors of the paper (relevance measurement, preference estimation,
   * influence learning, item associations) as pure functions.
   *
-  * Both diffusion engines ([[repro.diffusion.LocalDiffusion]] and
-  * [[repro.diffusion.SparkDiffusion]]) implement exactly these formulas;
-  * the parity test suite keeps them one system.
+  * The diffusion engine [[repro.diffusion.LocalDiffusion]] evaluates the
+  * factors through these functions; `ReferenceDiffusionSpec` checks it
+  * against a dense transcription of the same formulas in the test sources.
   */
 object Dynamics {
 

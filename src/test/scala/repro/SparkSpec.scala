@@ -4,13 +4,16 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base of the suites that need Spark, sharing one local-mode
+  * SparkSession per test JVM. These are the relevance, KG, social, MIOA
+  * and instance-build suites, and every `bench/` suite, which builds its
+  * dataset through Spark. Suites of driver-local code (the diffusion, the
+  * dynamics, the algorithms) extend `AnyFunSuite` and start no Spark.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The driver heap comes from SPARK_DRIVER_MEM through ``Test /
+  * javaOptions`` in build.sbt. Broadcast joins are disabled, so the KG
+  * self-joins run as shuffle joins even on test-sized inputs, the plan
+  * they take on inputs too large to broadcast.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -56,6 +56,32 @@ class LocalDiffusionSpec extends AnyFunSuite {
     assert(math.abs(res.a(1)(1) - expected) < 1e-9)
   }
 
+  test("association step in closed form: capped row, partly adopted target, substitutable edge") {
+    // arc 0 → 1 with P_act 0.3; items 0, 1, 2 with P_pref 0.5, 0.4, 0.2;
+    // complementary s(0,1) = 0.9, s(0,2) = 0.8 (row 0 sums to 1.7 > 1);
+    // substitutable s(0,2) = 0.5. Frozen, so W = 1 on each meta-graph;
+    // one step per promotion; extraScale 0.5
+    val inst = TestInstances.mk(
+      nUsers = 2, nItems = 3, edges = Seq((0, 1)),
+      metaS = Vector(TestInstances.sym(3)((0, 1, 0.9), (0, 2, 0.8)), TestInstances.sym(3)((0, 2, 0.5))),
+      basePref = (_, x) => Seq(0.5, 0.4, 0.2)(x),
+      t = 2,
+      params = Params().frozen.copy(maxSteps = 1))
+    val res = LocalDiffusion.run(inst, Seq(Seed(0, 1, 1), Seed(0, 0, 2)))
+    // round 1, item 1 promoted with q = 0.3: direct 0.3·0.4 = 0.12; row 1
+    // sums to 0.9 ≤ 1, so item 0 gets 0.3·0.4·0.5·0.9 = 0.054
+    val (a0, a1) = (0.054, 0.12)
+    // round 2, items 0 and 1 both promoted with q = 0.3; every term carries
+    // (1 − a) of the round's start, and row 0's terms are divided by 1.7
+    val expected = Seq(
+      a0 + (1 - a0) * 0.3 * 0.5 + (1 - a0) * 0.3 * 0.4 * 0.5 * 0.9,
+      a1 + (1 - a1) * 0.3 * 0.4 + (1 - a1) * 0.3 * 0.5 * 0.5 * 0.9 / 1.7,
+      0.3 * 0.5 * 0.5 * 0.8 / 1.7)
+    assert(res.steps == 2)
+    for (x <- 0 until 3)
+      assert(math.abs(res.a(1)(x) - expected(x)) < 1e-12, s"a(1)($x) = ${res.a(1)(x)}, expected ${expected(x)}")
+  }
+
   test("adoption probabilities stay in [0,1]") {
     for (seed <- 1L to 10L) {
       val inst = TestInstances.random(seed)
