@@ -8,16 +8,16 @@ import scala.util.Random
 /** [[LocalDiffusion]] against [[repro.ReferenceDiffusion]], the dense
   * transcription of DESIGN.md Sec. 4. The engine reorders sums and skips
   * zero terms, so the two agree to rounding: step counts must be equal,
-  * every `a` and `w` value within [[ReferenceDiffusionSpec.Tol]] absolute,
+  * every `a` and `w` value within [[ReferenceCheck.Tol]] absolute,
   * and σ and π within `Tol` relative. Each test reports its largest
   * differences. A reordered sum or product moves only bits below `Tol`,
-  * so this suite does not see one.
+  * so these suites do not see one.
   */
-class ReferenceDiffusionSpec extends AnyFunSuite {
-  import ReferenceDiffusionSpec._
+abstract class ReferenceCheck extends AnyFunSuite {
+  import ReferenceCheck._
 
   /** Largest differences over the campaigns of one test. */
-  private final class Diffs {
+  protected final class Diffs {
     var a, w, sigma, pi = 0.0
     var campaigns = 0
     def report(): Unit =
@@ -27,7 +27,7 @@ class ReferenceDiffusionSpec extends AnyFunSuite {
   private def relDiff(x: Double, y: Double): Double =
     if (x == y) 0.0 else math.abs(x - y) / math.max(math.abs(x), math.abs(y))
 
-  private def check(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]], d: Diffs, clue: String): Unit = {
+  protected def check(inst: ProblemInstance, seeds: Seq[Seed], mask: Option[Array[Boolean]], d: Diffs, clue: String): Unit = {
     val local = LocalDiffusion.run(inst, seeds, mask)
     val ref = ReferenceDiffusion.run(inst, seeds, mask)
     val at = s"$clue seeds=${seeds.mkString(",")}"
@@ -53,6 +53,24 @@ class ReferenceDiffusionSpec extends AnyFunSuite {
     d.campaigns += 1
   }
 
+  /** One campaign, unmasked, reported on its own. */
+  protected def checkOne(inst: ProblemInstance, seeds: Seq[Seed], clue: String): Unit = {
+    val d = new Diffs
+    check(inst, seeds, None, d, clue)
+    d.report()
+  }
+}
+
+object ReferenceCheck {
+
+  /** Bound on every absolute (`a`, `w`) and relative (σ, π) difference. */
+  val Tol: Double = 1e-12
+}
+
+/** The check over seeded random campaigns; [[SparkParitySpec]] holds the
+  * five hand-picked ones. */
+class ReferenceDiffusionSpec extends ReferenceCheck {
+
   test("LocalDiffusion matches the reference on 40 random instances x T 1-4 x 3 parameter sets x 2 masks") {
     val d = new Diffs
     for (seed <- 1L to 40L) {
@@ -68,47 +86,4 @@ class ReferenceDiffusionSpec extends AnyFunSuite {
     }
     d.report()
   }
-
-  /** One campaign, unmasked, reported on its own. */
-  private def checkOne(inst: ProblemInstance, seeds: Seq[Seed], clue: String): Unit = {
-    val d = new Diffs
-    check(inst, seeds, None, d, clue)
-    d.report()
-  }
-
-  test("LocalDiffusion matches the reference on the 3-user line (full dynamics)") {
-    checkOne(TestInstances.line3.withParams(Params(maxSteps = 3)).withT(2), Seq(Seed(0, 0, 1)), "line3")
-  }
-
-  test("LocalDiffusion matches the reference with multi-round seeds and complements") {
-    checkOne(TestInstances.line3.withParams(Params(maxSteps = 3)).withT(2), Seq(Seed(0, 0, 1), Seed(0, 1, 2)), "line3")
-  }
-
-  test("LocalDiffusion matches the reference with frozen dynamics") {
-    checkOne(TestInstances.line3.withParams(Params().frozen.copy(maxSteps = 3)).withT(1), Seq(Seed(0, 0, 1)), "line3")
-  }
-
-  test("LocalDiffusion matches the reference on a random instance with substitutes") {
-    val inst = TestInstances.random(1L, nUsers = 10, nItems = 4, nEdges = 24)
-    checkOne(inst.withParams(inst.params.copy(maxSteps = 3)), Seq(Seed(0, 0, 1), Seed(1, 1, 2)), "random(1)")
-  }
-
-  test("LocalDiffusion matches the reference with converging multi-step propagation") {
-    // a hub pushing to 4 users, then a second tier
-    val inst = TestInstances.mk(
-      nUsers = 7, nItems = 3,
-      edges = Seq((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 6)),
-      metaS = Vector(
-        TestInstances.sym(3)((0, 1, 0.9), (1, 2, 0.4)),
-        TestInstances.sym(3)((0, 2, 0.7))),
-      t = 2,
-      params = Params(maxSteps = 3))
-    checkOne(inst, Seq(Seed(0, 0, 1), Seed(0, 2, 2)), "hub")
-  }
-}
-
-object ReferenceDiffusionSpec {
-
-  /** Bound on every absolute (`a`, `w`) and relative (σ, π) difference. */
-  val Tol: Double = 1e-12
 }
