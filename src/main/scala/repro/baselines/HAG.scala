@@ -32,8 +32,11 @@ object HAG {
     }
     // raw marginal gain among affordable pairs (Sec. VI-A extension), not
     // gain per cost — cost-effectiveness is Dysim's MCP, not HAG's
-    try Some(Celf.select[Nominee](pool, n => inst.cost(n.user)(n.item), inst.budget, f, useRatio = false))
-    catch { case _: HagTimeout => None }
+    try {
+      val bounds = FrozenSpread.singletonBound(frozen)
+      Some(Celf.select[Nominee](pool, n => inst.cost(n.user)(n.item), inst.budget, f, useRatio = false,
+        bound = n => bounds(n.user)(n.item)))
+    } catch { case _: HagTimeout => None }
   }
 
   /** None = timed out (the paper reports HAG as absent in that case). */

@@ -80,27 +80,42 @@ object TMI {
   /** selectNominees(U, b): CELF greedy by MCP = (f(N∪{n}) − f(N)) / c(n),
     * with the standard knapsack correction behind Theorem 2's (1 − 1/√e)
     * factor: the result is the better of the ratio-greedy set and the best
-    * affordable singleton.
+    * affordable singleton. Both start from [[FrozenSpread.singletonBound]],
+    * so only the singletons whose bound can reach the top are simulated.
     */
   def selectNominees(inst: ProblemInstance, cfg: Config): Vector[Nominee] = {
     val pool = candidatePool(inst, cfg)
     val frozen = FrozenSpread.instance(inst, FrozenHops)
     def f(set: Iterable[Nominee]): Double = FrozenSpread.sigmaOn(frozen, set)
-    // singleton gains computed once, shared by CELF's first round and the
+    val bounds = FrozenSpread.singletonBound(frozen)
+    def bound(n: Nominee): Double = bounds(n.user)(n.item)
+    // each singleton simulated at most once, shared by CELF and the
     // knapsack correction below
-    val singles: Map[Nominee, Double] = pool.iterator.map(n => n -> f(Seq(n))).toMap
+    val singles = scala.collection.mutable.HashMap.empty[Nominee, Double]
+    def single(n: Nominee): Double = singles.getOrElseUpdate(n, f(Seq(n)))
     val greedy = Celf.select[Nominee](
       pool,
       n => inst.cost(n.user)(n.item),
       inst.budget,
       set => f(set),
-      initGains = singles)
+      bound = bound,
+      single = single)
     // standard knapsack correction behind Theorem 2's (1 − 1/√e) factor
     val affordable = pool.filter(n => ProblemInstance.fits(inst.cost(n.user)(n.item), inst.budget))
     if (affordable.isEmpty) greedy
     else {
-      val bestSingle = affordable.maxBy(n => (singles(n), -n.user, -n.item))
-      val singleGain = singles(bestSingle)
+      // the best singleton by (f({n}), −user, −item) is among the pairs
+      // whose bound reaches the best exact value: visit them by descending
+      // bound and stop at the first bound below it
+      val byBound = affordable.sortBy(n => -bound(n))
+      var reach = 0
+      var top = Double.NegativeInfinity
+      while (reach < byBound.length && bound(byBound(reach)) >= top) {
+        top = math.max(top, single(byBound(reach)))
+        reach += 1
+      }
+      val bestSingle = byBound.take(reach).maxBy(n => (single(n), -n.user, -n.item))
+      val singleGain = single(bestSingle)
       val greedyGain = if (greedy.isEmpty) 0.0 else f(greedy)
       if (singleGain > greedyGain && singleGain > ProblemInstance.MinGain) Vector(bestSingle) else greedy
     }

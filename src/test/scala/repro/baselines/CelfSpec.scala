@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 
 class CelfSpec extends AnyFunSuite {
 
@@ -75,5 +76,71 @@ class CelfSpec extends AnyFunSuite {
     val sel = Celf.select[Int](Vector(1, 2, 3), Map(1 -> 1.0, 2 -> 1.0, 3 -> 1.0), 2.0, f)
     assert(sel.head == 1)
     assert(sel == Vector(1, 2), "element 3 adds nothing after 1")
+  }
+
+  test("breaks an exact key tie by pool order") {
+    val values = Map(1 -> 2.0, 2 -> 2.0, 3 -> 2.0, 4 -> 2.0, 5 -> 2.0)
+    val cost = Map(1 -> 1.0, 2 -> 1.0, 3 -> 1.0, 4 -> 1.0, 5 -> 1.0)
+    val pool = Vector(4, 2, 5, 1, 3)
+    assert(Celf.select[Int](pool, cost, budget = 5, additive(values)) == pool)
+    val exact = (a: Int) => values(a)
+    assert(Celf.select[Int](pool, cost, budget = 5, additive(values), bound = exact) == pool)
+    // the last element's loose bound materializes it first; at equal keys
+    // the bound entries still go before it, so the pool order holds
+    val loose = (a: Int) => if (a == 3) 3.0 else values(a)
+    assert(Celf.select[Int](pool, cost, budget = 5, additive(values), bound = loose) == pool)
+  }
+
+  test("fails when an exact singleton exceeds its bound") {
+    val values = Map(1 -> 5.0, 2 -> 3.0)
+    val cost = Map(1 -> 1.0, 2 -> 1.0)
+    val e = intercept[IllegalArgumentException](
+      Celf.select[Int](Vector(1, 2), cost, budget = 2, additive(values), bound = Map(1 -> 4.0, 2 -> 3.0)))
+    assert(e.getMessage.contains("f({1}) = 5.0 exceeds its bound 4.0"))
+  }
+
+  /** A random set function that is neither submodular nor monotone: each
+    * set gets its own draw, scaled by its size.
+    */
+  private def scrambled(seed: Long): Set[Int] => Double =
+    s => new Random(seed * 7919 + s.toSeq.sorted.hashCode).nextDouble() * 4 * s.size
+
+  test("exact, slack and infinite bounds pick the same sequence (randomized property)") {
+    var singles = 0
+    var poolTotal = 0
+    for (seed <- 1L to 80L) {
+      val rnd = new Random(seed)
+      val n = 3 + rnd.nextInt(10)
+      val f =
+        if (seed % 2 == 0) additive((0 until n).map(i => i -> rnd.nextDouble() * 10).toMap)
+        else scrambled(seed)
+      val cost = (0 until n).map(i => i -> (0.5 + rnd.nextDouble() * 3)).toMap
+      val budget = 1.0 + rnd.nextDouble() * 6
+      val useRatio = rnd.nextBoolean()
+      val pool = rnd.shuffle((0 until n).toVector)
+      val exact = (a: Int) => f(Set(a))
+      val slack = pool.map(a => a -> (exact(a) + rnd.nextDouble() * rnd.nextInt(3))).toMap
+      def run(bound: Int => Double, single: Int => Double = exact) =
+        Celf.select[Int](pool, cost, budget, f, useRatio, bound, single)
+      val eager = run(_ => Double.PositiveInfinity)
+      var evaluated = 0
+      val withExact = run(exact, a => { evaluated += 1; exact(a) })
+      assert(withExact == eager, s"seed=$seed, exact bounds")
+      assert(run(slack) == eager, s"seed=$seed, slack bounds")
+      singles += evaluated
+      poolTotal += n
+    }
+    info(s"exact bounds: $singles singletons evaluated for $poolTotal pool elements")
+    assert(singles < poolTotal)
+  }
+
+  test("exact bounds evaluate fewer singletons than the pool size") {
+    val values = (0 until 20).map(i => i -> (1.0 + i)).toMap
+    val cost = (0 until 20).map(i => i -> 1.0).toMap
+    var evaluated = 0
+    val sel = Celf.select[Int]((0 until 20).toVector, cost, budget = 3, additive(values),
+      bound = values, single = a => { evaluated += 1; values(a) })
+    assert(sel == Vector(19, 18, 17))
+    assert(evaluated < 20, s"$evaluated singletons")
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
+import repro.baselines.{Celf, FrozenSpread}
 import repro.core.RelKind._
 
 class TMISpec extends AnyFunSuite {
@@ -61,6 +62,42 @@ class TMISpec extends AnyFunSuite {
       budget = 4.0)
     val nominees = TMI.selectNominees(inst, TMI.Config(maxCandidates = 6))
     assert(nominees.map(n => inst.cost(n.user)(n.item)).sum <= inst.budget + 1e-9)
+  }
+
+  test("selectNominees equals the eager selection that simulates every singleton") {
+    for (seed <- 1L to 30L) {
+      val rnd = new scala.util.Random(seed)
+      val base = TestInstances.random(seed, nUsers = 16, nItems = 5, nEdges = 40)
+      val inst = base.copy(cost = Array.fill(base.nUsers, base.nItems)(0.3 + 2.5 * rnd.nextDouble()), budget = 1.0 + 3 * rnd.nextDouble())
+      val pool = TMI.candidatePool(inst, TMI.Config(maxCandidates = 40))
+      val frozen = FrozenSpread.instance(inst, TMI.FrozenHops)
+      def f(set: Iterable[Nominee]): Double = FrozenSpread.sigmaOn(frozen, set)
+      val cost = (n: Nominee) => inst.cost(n.user)(n.item)
+      val greedy = Celf.select[Nominee](pool, cost, inst.budget, set => f(set))
+      val best = pool.filter(n => ProblemInstance.fits(cost(n), inst.budget)).maxBy(n => (f(Seq(n)), -n.user, -n.item))
+      val eager =
+        if (f(Seq(best)) > (if (greedy.isEmpty) 0.0 else f(greedy)) && f(Seq(best)) > ProblemInstance.MinGain) Vector(best)
+        else greedy
+      assert(TMI.selectNominees(inst, TMI.Config(maxCandidates = 40)) == eager, s"seed=$seed")
+    }
+  }
+
+  test("the knapsack correction looks past the pair with the largest bound") {
+    // 0 ↔ 1 and 0 → 2: the linear bound of (0,0) counts the echo 0 → 1 → 0,
+    // which adds nothing to f, so it ranks above the tree hub 3 → 4, 5, 6 by
+    // bound and below it by f. Ratio-greedy takes the cheap isolated user 7
+    // and can afford nothing more, so the best singleton, (3,0), must win
+    val inst = TestInstances.mk(
+      nUsers = 8, nItems = 1,
+      edges = Seq((0, 1), (1, 0), (0, 2), (3, 4), (3, 5), (3, 6)),
+      act = 0.9, basePref = (_, _) => 0.9,
+      cost = (u, _) => if (u == 0 || u == 3) 4.0 else if (u == 7) 1.0 else 3.5,
+      budget = 4.0)
+    val frozen = FrozenSpread.instance(inst, TMI.FrozenHops)
+    val bound = FrozenSpread.singletonBound(frozen)
+    def f(u: Int): Double = FrozenSpread.sigmaOn(frozen, Seq(Nominee(u, 0)))
+    assert(bound(0)(0) > bound(3)(0) && f(0) < f(3))
+    assert(TMI.selectNominees(inst, TMI.Config(maxCandidates = 8)) == Vector(Nominee(3, 0)))
   }
 
   test("hopDistances: undirected BFS with cap") {

@@ -30,8 +30,14 @@ import scala.util.Random
   * table but are not compared.
   *
   * Both tables are the reference for that reassociation: do not regenerate
-  * them from a later kernel. They are written by
-  * `sbt "Test/runMain repro.diffusion.KernelGoldenSpec <golden file> <a, w file>"`.
+  * them from a later kernel.
+  *
+  * `selection-golden.txt` holds the algorithm rows of the reassociated
+  * kernel, captured before CELF started from singleton bounds
+  * ([[repro.baselines.Celf]]). They are compared bit for bit, so an exact
+  * rewrite of the kernel or of a selection must leave every seed, pair,
+  * round and σ as it is. The three tables are written by
+  * `sbt "Test/runMain repro.diffusion.KernelGoldenSpec <golden file> <a, w file> <selection file>"`.
   */
 class KernelGoldenSpec extends AnyFunSuite {
   import KernelGoldenSpec._
@@ -44,8 +50,10 @@ class KernelGoldenSpec extends AnyFunSuite {
 
   private val golden = load("kernel-golden.txt")
   private val goldenElements = load("kernel-golden-aw.txt")
+  private val goldenSelection = load("selection-golden.txt")
 
-  private lazy val (optRows, otherRows) = algorithmRows.partition(_._1.startsWith("opt"))
+  private lazy val algorithms = algorithmRows
+  private lazy val (optRows, otherRows) = algorithms.partition(_._1.startsWith("opt"))
   private lazy val (roundSearchRows, heuristicRows) =
     otherRows.partition(r => r._1.startsWith("crgreedy") || r._1.startsWith("tdsi"))
 
@@ -111,6 +119,11 @@ class KernelGoldenSpec extends AnyFunSuite {
 
   test("CR-Greedy and TDSI keep rounds at T = 5; sigma within 1e-12") {
     checkAlgorithms(roundSearchRows)
+  }
+
+  test("every algorithm row equals selection-golden.txt bit for bit") {
+    assert(goldenSelection.keySet == algorithms.map(_._1).toSet)
+    algorithms.foreach { case (key, row) => assert(row == goldenSelection(key), key) }
   }
 }
 
@@ -247,13 +260,15 @@ object KernelGoldenSpec {
         s"tdsi fallback $seed" -> tdsiRow(seed, outside = true))
     }
 
-  /** Writes the golden table to the first argument's path and the `a`, `w`
-    * table to the second's.
+  /** Writes the golden table to the first argument's path, the `a`, `w`
+    * table to the second's and the selection table to the third's.
     */
-  def main(args: Array[String]): Unit =
-    Seq(args(0) -> (campaignRows ++ algorithmRows), args(1) -> elementRows).foreach { case (path, rows) =>
+  def main(args: Array[String]): Unit = {
+    val algorithms = algorithmRows
+    Seq(args(0) -> (campaignRows ++ algorithms), args(1) -> elementRows, args(2) -> algorithms).foreach { case (path, rows) =>
       val out = new java.io.PrintWriter(path, "UTF-8")
       try rows.foreach { case (k, v) => out.println(s"$k|$v") }
       finally out.close()
     }
+  }
 }
