@@ -33,6 +33,7 @@ object RunDysim {
       val trace = Dysim.runTraced(inst, TMI.Config(maxCandidates = 200))
       println(s"dataset=$name users=${inst.nUsers} items=${inst.nItems} budget=$budget T=$t")
       println(s"nominees=${trace.nominees.size} markets=${trace.markets.size} groups=${trace.groups.size}")
+      println(s"market campaigns=${trace.marketCampaigns} SI candidates=${trace.siCandidates}")
       trace.seeds.sortBy(s => (s.t, s.user)).foreach { s =>
         println(f"  seed user=${s.user}%5d item=${inst.itemNames(s.item)}%10s round=${s.t}%2d cost=${inst.cost(s.user)(s.item)}%.2f")
       }

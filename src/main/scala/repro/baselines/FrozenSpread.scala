@@ -124,7 +124,9 @@ object FrozenSpread {
   * Bound-first start (UBLF, Zhou et al., ICDM 2013): every element enters
   * the queue keyed by an upper bound on its singleton value f({a}). When
   * such an entry is first popped, f({a}) is computed and the entry is
-  * re-queued as eager CELF holds it before round 1. Equal keys go to the
+  * re-queued with the key eager CELF gives it before round 1. In round 1,
+  * f({a}) is f(chosen + a) itself, so the entry goes back fresh and its
+  * next pop picks it without a second simulation. Equal keys go to the
   * bound entry, then to the element earlier in `pool`. So the queue pops
   * the exact entries in eager CELF's order, and the picks are eager CELF's
   * for any valid bounds; with the default bound +∞ every singleton is
@@ -194,7 +196,8 @@ object Celf {
         } else if (e.when == Bounded) {
           val s = singleton(a)
           require(s <= e.gain, s"f({$a}) = $s exceeds its bound ${e.gain}")
-          pq.enqueue(new Entry(key(s, cost(a)), e.idx, s, Double.NaN, 0))
+          if (round == 1) pq.enqueue(new Entry(key(s, cost(a)), e.idx, s, s, round))
+          else pq.enqueue(new Entry(key(s, cost(a)), e.idx, s, Double.NaN, 0))
         } else if (e.when == round) {
           if (e.gain > ProblemInstance.MinGain) {
             chosen += a

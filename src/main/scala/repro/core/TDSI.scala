@@ -37,45 +37,85 @@ object TDSI {
   /** Evaluation of σ^τ and π^τ for a seed group over [[marketDiffusion]]. */
   final case class MarketEval(sigma: Double, pi: Double)
 
-  def evalMarket(inst: ProblemInstance, seeds: Seq[Seed], marketMask: Array[Boolean]): MarketEval = {
+  def evalMarket(inst: ProblemInstance, seeds: Seq[Seed], marketMask: Array[Boolean]): MarketEval =
+    marketCampaign(inst, seeds, marketMask).eval
+
+  /** A seed group's [[marketDiffusion]] under one market's mask, with its
+    * evaluation (Dysim carries one through each market).
+    */
+  final case class MarketCampaign(res: DiffusionResult, eval: MarketEval)
+
+  def marketCampaign(inst: ProblemInstance, seeds: Seq[Seed], marketMask: Array[Boolean]): MarketCampaign = {
     val res = marketDiffusion(inst, seeds, marketMask)
-    MarketEval(
+    MarketCampaign(res, MarketEval(
       LocalDiffusion.sigmaOf(inst, res, Some(marketMask)),
-      LocalDiffusion.pi(inst, res, Some(marketMask)))
+      LocalDiffusion.pi(inst, res, Some(marketMask))))
+  }
+
+  /** Eq. 2 from the evaluations of S^G and of S^G plus a candidate at round `t`. */
+  private def siOf(inst: ProblemInstance, base: MarketEval, withC: MarketEval, t: Int): Double = {
+    val ma = withC.sigma - base.sigma
+    val ml = withC.pi - base.pi
+    ma + ((inst.T - t + 1).toDouble / inst.T) * ml
   }
 
   /** SI of a candidate (Eq. 2) given the evaluation of the current S^G. */
-  def si(inst: ProblemInstance, sG: Seq[Seed], base: MarketEval, cand: Seed, marketMask: Array[Boolean]): Double = {
-    val withC = evalMarket(inst, sG :+ cand, marketMask)
-    val ma = withC.sigma - base.sigma
-    val ml = withC.pi - base.pi
-    ma + ((inst.T - cand.t + 1).toDouble / inst.T) * ml
-  }
+  def si(inst: ProblemInstance, sG: Seq[Seed], base: MarketEval, cand: Seed, marketMask: Array[Boolean]): Double =
+    siOf(inst, base, evalMarket(inst, sG :+ cand, marketMask), cand.t)
+
+  /** What [[timings]] chose: the seeds in pick order, the market campaign
+    * of S^G after the last pick, and how many candidates it simulated.
+    */
+  final case class Timings(seeds: Vector[Seed], campaign: MarketCampaign, candidates: Int)
 
   /** Assign timings to all nominees `np` (same item) of market τ_k:
-    * iteratively extract the (u, x_p, t) with the largest SI.
-    * Returns the chosen seeds in pick order.
+    * iteratively extract the (u, x_p, t) with the largest SI, ties to the
+    * earlier round, then to the lower user. `base` is the market campaign
+    * of the current `s`; each pick's winning candidate campaign becomes the
+    * base of the next pick, so S^G itself is never simulated again.
     */
-  def assignTimings(
+  def timings(
       inst: ProblemInstance,
       s: scala.collection.mutable.ArrayBuffer[Seed], // global S, mutated as seeds are chosen
       sPrevMarket: Seq[Seed],
       tTauK: Int,
       np: Vector[Nominee],
-      marketMask: Array[Boolean]): Vector[Seed] = {
+      marketMask: Array[Boolean],
+      base: MarketCampaign): Timings = {
     val maxTPrev = if (sPrevMarket.isEmpty) 0 else sPrevMarket.map(_.t).max
+    val order = implicitly[Ordering[(Double, Int, Int)]]
+    var current = base
+    var candidates = 0
     var remaining = np
     val out = Vector.newBuilder[Seed]
     while (remaining.nonEmpty) {
       val tHat = if (s.isEmpty) 1 else s.map(_.t).max
-      val base = evalMarket(inst, s.toSeq, marketMask)
-      val cands = for (n <- remaining; t <- window(tHat, tTauK, maxTPrev, inst.T))
-        yield Seed(n.user, n.item, t)
-      val best = cands.maxBy(c => (si(inst, s.toSeq, base, c, marketMask), -c.t, -c.user))
+      val sG = s.toSeq
+      var best: Seed = null
+      var bestKey: (Double, Int, Int) = null
+      var bestCampaign: MarketCampaign = null
+      for (n <- remaining; t <- window(tHat, tTauK, maxTPrev, inst.T)) {
+        val c = Seed(n.user, n.item, t)
+        val withC = marketCampaign(inst, sG :+ c, marketMask)
+        candidates += 1
+        val key = (siOf(inst, current.eval, withC.eval, t), -t, -c.user)
+        if (best == null || order.gt(key, bestKey)) { best = c; bestKey = key; bestCampaign = withC }
+      }
       s += best
       out += best
+      current = bestCampaign
       remaining = remaining.filterNot(n => n.user == best.user && n.item == best.item)
     }
-    out.result()
+    Timings(out.result(), current, candidates)
   }
+
+  /** [[timings]] from a fresh campaign of `s`, returning the seeds alone. */
+  def assignTimings(
+      inst: ProblemInstance,
+      s: scala.collection.mutable.ArrayBuffer[Seed],
+      sPrevMarket: Seq[Seed],
+      tTauK: Int,
+      np: Vector[Nominee],
+      marketMask: Array[Boolean]): Vector[Seed] =
+    timings(inst, s, sPrevMarket, tTauK, np, marketMask, marketCampaign(inst, s.toSeq, marketMask)).seeds
 }

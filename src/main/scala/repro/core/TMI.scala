@@ -61,7 +61,12 @@ object TMI {
       while (y < n) {
         var c = 0.0
         var s = 0.0
-        ws.foreach { w => c += Dynamics.rC(inst, w, x, y); s += Dynamics.rS(inst, w, x, y) }
+        var u = 0
+        while (u < ws.length) {
+          c += Dynamics.rC(inst, ws(u), x, y)
+          s += Dynamics.rS(inst, ws(u), x, y)
+          u += 1
+        }
         rC(x)(y) = c / k; rC(y)(x) = c / k
         rS(x)(y) = s / k; rS(y)(x) = s / k
         y += 1

@@ -365,10 +365,11 @@ object LocalDiffusion {
     */
   def sigmaOf(inst: ProblemInstance, res: DiffusionResult, countMask: Option[Array[Boolean]] = None): Double = {
     requireUserMask(inst, countMask, "countMask")
+    val counted = countMask.orNull
     var acc = 0.0
     var v = 0
     while (v < inst.nUsers) {
-      if (countMask.forall(_(v))) {
+      if (counted == null || counted(v)) {
         val av = res.a(v)
         var x = 0
         while (x < inst.nItems) { acc += inst.importance(x) * av(x); x += 1 }
@@ -382,6 +383,25 @@ object LocalDiffusion {
   def sigma(inst: ProblemInstance, seeds: Seq[Seed]): Double =
     sigmaOf(inst, run(inst, seeds))
 
+  /** Σ_y a(v,y) per user, summed from left to right from a(v,0) (not from
+    * 0.0), as `Array.sum` sums.
+    */
+  private def adoptionMass(a: Array[Array[Double]]): Array[Double] = {
+    val mass = new Array[Double](a.length)
+    var v = 0
+    while (v < a.length) {
+      val av = a(v)
+      if (av.length > 0) {
+        var s = av(0)
+        var y = 1
+        while (y < av.length) { s += av(y); y += 1 }
+        mass(v) = s
+      }
+      v += 1
+    }
+    mass
+  }
+
   /** Future-adoption likelihood π (Eq. 7) of the end state:
     * Σ_v Σ_y (1−a(v,y)) · AIS(v,y) · P_pref(v,y), with the IC form of AIS
     * (footnote 22) evaluated mean-field. Each arc's P_act is computed once
@@ -391,15 +411,17 @@ object LocalDiffusion {
     requireUserMask(inst, countMask, "countMask")
     val useSim = inst.params.gamma != 0.0
     val usePref = inst.params.beta != 0.0
-    val sumA = if (useSim) res.a.map(_.sum) else null
+    val sumA = if (useSim) adoptionMass(res.a) else null
+    val counted = countMask.orNull
     var acc = 0.0
     var v = 0
     while (v < inst.nUsers) {
-      if (countMask.forall(_(v))) {
+      if (counted == null || counted(v)) {
         val av = res.a(v)
         val contrib = if (usePref) Dynamics.prefContrib(inst, res.w(v), av) else null
         val nbrs = inst.inNbr(v)
-        val act = Array.fill(nbrs.length)(Double.NaN) // filled on first use
+        val act = new Array[Double](nbrs.length)
+        java.util.Arrays.fill(act, Double.NaN) // filled on first use
         var y = 0
         while (y < inst.nItems) {
           val remain = 1.0 - av(y)

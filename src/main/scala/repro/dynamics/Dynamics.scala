@@ -70,16 +70,19 @@ object Dynamics {
   }
 
   /** Personal relevance r^C(u,x,y) = Σ_{m∈C} W(u,m)·s(x,y|m). */
-  def rC(inst: ProblemInstance, w: Array[Double], x: Int, y: Int): Double = {
-    var r = 0.0
-    inst.cMeta.foreach(m => r += w(m) * inst.metaS(m)(x)(y))
-    r
-  }
+  def rC(inst: ProblemInstance, w: Array[Double], x: Int, y: Int): Double = rel(inst, inst.cMeta, w, x, y)
 
   /** Personal relevance r^S(u,x,y) = Σ_{m∈S} W(u,m)·s(x,y|m). */
-  def rS(inst: ProblemInstance, w: Array[Double], x: Int, y: Int): Double = {
+  def rS(inst: ProblemInstance, w: Array[Double], x: Int, y: Int): Double = rel(inst, inst.sMeta, w, x, y)
+
+  private def rel(inst: ProblemInstance, metas: Vector[Int], w: Array[Double], x: Int, y: Int): Double = {
     var r = 0.0
-    inst.sMeta.foreach(m => r += w(m) * inst.metaS(m)(x)(y))
+    var k = 0
+    while (k < metas.length) {
+      val m = metas(k)
+      r += w(m) * inst.metaS(m)(x)(y)
+      k += 1
+    }
     r
   }
 

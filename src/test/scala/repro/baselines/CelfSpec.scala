@@ -134,6 +134,19 @@ class CelfSpec extends AnyFunSuite {
     assert(singles < poolTotal)
   }
 
+  test("the first pick reuses its singleton: no set is evaluated twice") {
+    val values = Map(1 -> 4.0, 2 -> 3.0, 3 -> 2.0, 4 -> 1.0)
+    val cost = Map(1 -> 1.0, 2 -> 1.0, 3 -> 1.0, 4 -> 1.0)
+    for (bound <- Seq[Int => Double](_ => Double.PositiveInfinity, values)) {
+      val calls = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
+      val f = (set: Set[Int]) => { calls += set; additive(values)(set) }
+      assert(Celf.select[Int](Vector(4, 3, 2, 1), cost, budget = 2, f, bound = bound) == Vector(1, 2))
+      assert(calls.distinct.size == calls.size, calls.mkString(" "))
+      // +∞ bounds: four singletons, then f({1, 2}) for the second pick
+      if (bound(1).isInfinite) assert(calls.size == 5, calls.mkString(" "))
+    }
+  }
+
   test("exact bounds evaluate fewer singletons than the pool size") {
     val values = (0 until 20).map(i => i -> (1.0 + i)).toMap
     val cost = (0 until 20).map(i => i -> 1.0).toMap

@@ -105,6 +105,34 @@ class DysimSpec extends AnyFunSuite {
     for (x <- 0 until 3; y <- 0 until 3) assert(rC(x)(y) == eC(x)(y) && rS(x)(y) == eS(x)(y), s"($x,$y)")
   }
 
+  test("trace counts one market campaign per market plus one per SI candidate") {
+    val trace = Dysim.runTraced(inst, cfg)
+    val (_, refCandidates) = ReferenceDysim.run(inst, cfg)
+    assert(trace.siCandidates == refCandidates)
+    assert(trace.marketCampaigns == trace.markets.size + trace.siCandidates)
+    assert((trace.markets.size, trace.siCandidates, trace.marketCampaigns) == ((2, 10, 12)))
+  }
+
+  test("run equals the loop that re-simulates every campaign, in seeds and sigma bits (random instances)") {
+    var multiItem = 0
+    var sharedGroup = 0
+    for (seed <- 1L to 16L) {
+      val i = TestInstances.random(seed, nUsers = 30, nItems = 6, nEdges = 40).withParams(Params()).withT(4)
+      val c = TMI.Config(maxCandidates = 40, thetaCommon = 1)
+      val trace = Dysim.runTraced(i, c)
+      val (refSeeds, refCandidates) = ReferenceDysim.run(i, c)
+      assert(trace.seeds == refSeeds, s"seed=$seed")
+      val bits = (seeds: Vector[Seed]) => java.lang.Double.doubleToLongBits(LocalDiffusion.sigma(i, seeds))
+      assert(bits(trace.seeds) == bits(refSeeds), s"seed=$seed")
+      assert(trace.siCandidates == refCandidates, s"seed=$seed")
+      if (trace.markets.exists(_.items.size > 1)) multiItem += 1
+      if (trace.groups.exists(_.size > 1)) sharedGroup += 1
+    }
+    // DRE read campaigns that TDSI handed back, and a market of a group
+    // started from the seeds of the one before it
+    assert(multiItem > 0 && sharedGroup > 0, s"multi-item $multiItem, shared group $sharedGroup")
+  }
+
   test("empty-budget instance yields no seeds") {
     val broke = inst.withBudget(0.0)
     assert(Dysim.run(broke, cfg).isEmpty)

@@ -90,35 +90,13 @@ class TDSISpec extends AnyFunSuite {
     val out = TDSI.assignTimings(inst, s, Nil, tTauK = 3, np, Array(true, true, true))
     assert(out.head.t >= 2, "cannot schedule before the latest existing promotion")
   }
-  /** The timing loop written out from its definition: a full market
-    * campaign for the base of every pick and for every candidate.
-    */
-  private def referenceTimings(
-      inst: ProblemInstance,
-      s: ArrayBuffer[Seed],
-      sPrevMarket: Seq[Seed],
-      tTauK: Int,
-      np: Vector[Nominee],
-      marketMask: Array[Boolean]): Vector[Seed] = {
-    val maxTPrev = if (sPrevMarket.isEmpty) 0 else sPrevMarket.map(_.t).max
-    var remaining = np
-    val out = Vector.newBuilder[Seed]
-    while (remaining.nonEmpty) {
-      val tHat = if (s.isEmpty) 1 else s.map(_.t).max
-      val base = TDSI.evalMarket(inst, s.toSeq, marketMask)
-      val cands = for (n <- remaining; t <- TDSI.window(tHat, tTauK, maxTPrev, inst.T))
-        yield Seed(n.user, n.item, t)
-      val best = cands.maxBy(c => (TDSI.si(inst, s.toSeq, base, c, marketMask), -c.t, -c.user))
-      s += best
-      out += best
-      remaining = remaining.filterNot(n => n.user == best.user && n.item == best.item)
-    }
-    out.result()
-  }
 
-  test("assignTimings with a nominee outside the market and unseeded picks what full re-simulation picks") {
-    var outsidePickedEarly = 0
-    for (seed <- 1L to 12L) {
+  /** Twelve random markets of 20 users: two earlier seeds (one outside the
+    * market), a previous market ending at round 2, and four nominees of one
+    * item, one of them outside the market and unseeded.
+    */
+  private def cases: Seq[(Long, ProblemInstance, Array[Boolean], Seq[Seed], Seq[Seed], Vector[Nominee])] =
+    (1L to 12L).map { seed =>
       val inst = TestInstances.random(seed, nUsers = 20, nItems = 6, nEdges = 60).withParams(Params()).withT(4)
       val mask = Array.tabulate(inst.nUsers)(v => (v + seed) % 2 == 0)
       val (in, out) = new scala.util.Random(seed).shuffle((0 until inst.nUsers).toVector).partition(mask)
@@ -126,15 +104,41 @@ class TDSISpec extends AnyFunSuite {
       val start = Seq(Seed(in(0), (item + 1) % inst.nItems, 2), Seed(out(0), (item + 2) % inst.nItems, 1))
       val np = Vector(Nominee(in(1), item), Nominee(out(1), item), Nominee(in(2), item), Nominee(in(3), item))
       assert(!mask(out(1)) && !start.exists(_.user == out(1)))
-      val prev = Seq(Seed(in(4), item, 2))
+      (seed, inst, mask, start, Seq(Seed(in(4), item, 2)), np)
+    }
+
+  test("assignTimings with a nominee outside the market and unseeded picks what full re-simulation picks") {
+    var outsidePickedEarly = 0
+    for ((seed, inst, mask, start, prev, np) <- cases) {
       val s = ArrayBuffer.from(start)
       val chosen = TDSI.assignTimings(inst, s, prev, tTauK = 3, np, mask)
       val sRef = ArrayBuffer.from(start)
-      assert(chosen == referenceTimings(inst, sRef, prev, 3, np, mask), s"seed=$seed")
+      assert(chosen == ReferenceDysim.timings(inst, sRef, prev, 3, np, mask)._1, s"seed=$seed")
       assert(s == sRef, s"seed=$seed")
-      if (chosen.indexWhere(_.user == out(1)) < np.size - 1) outsidePickedEarly += 1
+      val outside = np(1).user
+      if (chosen.indexWhere(_.user == outside) < np.size - 1) outsidePickedEarly += 1
     }
     // an outside winner widened the diffusion mask of a later pick
     assert(outsidePickedEarly > 0)
+  }
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
+
+  private def sameBits(x: Array[Array[Double]], y: Array[Array[Double]]): Boolean =
+    x.length == y.length && x.indices.forall(v => x(v).map(bits).sameElements(y(v).map(bits)))
+
+  test("timings returns the market campaign of the final S bit for bit and counts the reference's candidates") {
+    for ((seed, inst, mask, start, prev, np) <- cases) {
+      val s = ArrayBuffer.from(start)
+      val timed = TDSI.timings(inst, s, prev, tTauK = 3, np, mask, TDSI.marketCampaign(inst, start, mask))
+      val (refSeeds, refCandidates) = ReferenceDysim.timings(inst, ArrayBuffer.from(start), prev, 3, np, mask)
+      assert(timed.seeds == refSeeds, s"seed=$seed")
+      assert(timed.candidates == refCandidates, s"seed=$seed")
+      val expect = TDSI.marketDiffusion(inst, s.toSeq, mask)
+      assert(timed.campaign.res.steps == expect.steps, s"seed=$seed")
+      assert(sameBits(timed.campaign.res.a, expect.a) && sameBits(timed.campaign.res.w, expect.w), s"seed=$seed")
+      val ev = TDSI.evalMarket(inst, s.toSeq, mask)
+      assert(bits(timed.campaign.eval.sigma) == bits(ev.sigma) && bits(timed.campaign.eval.pi) == bits(ev.pi), s"seed=$seed")
+    }
   }
 }
