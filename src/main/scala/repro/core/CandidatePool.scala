@@ -26,18 +26,29 @@ object CandidatePool {
     * (user, item).
     */
   def split(inst: ProblemInstance, size: Int)(gain: Nominee => Double): Vector[Nominee] = {
-    val scored = for {
+    val pool = for {
       u <- (0 until inst.nUsers).toVector
       x <- 0 until inst.nItems
       if ProblemInstance.fits(inst.cost(u)(x), inst.budget)
-    } yield {
-      val n = Nominee(u, x)
-      val g = gain(n)
-      (n, g, g / inst.cost(u)(x))
+    } yield Nominee(u, x)
+    val g = pool.map(gain).toArray
+    val negGain = g.map(v => -v)
+    val negRatio = Array.tabulate(pool.length)(i => -(g(i) / inst.cost(pool(i).user)(pool(i).item)))
+    // `pool` is in ascending (user, item) order, so the index breaks the
+    // last ties; Double.compare is the total order of Ordering[Double]
+    def by(first: Array[Double], second: Array[Double]): Vector[Nominee] = {
+      val idx = Array.tabulate[Integer](pool.length)(i => i)
+      java.util.Arrays.sort(idx, (i: Integer, j: Integer) => {
+        val c = java.lang.Double.compare(first(i), first(j))
+        if (c != 0) c
+        else {
+          val d = java.lang.Double.compare(second(i), second(j))
+          if (d != 0) d else Integer.compare(i, j)
+        }
+      })
+      idx.iterator.map(i => pool(i)).toVector
     }
-    val byRatio = scored.sortBy(s => (-s._3, -s._2, s._1.user, s._1.item)).map(_._1)
-    val byGain = scored.sortBy(s => (-s._2, -s._3, s._1.user, s._1.item)).map(_._1)
-    (byRatio.take((size + 1) / 2) ++ byGain).distinct.take(size)
+    (by(negRatio, negGain).take((size + 1) / 2) ++ by(negGain, negRatio)).distinct.take(size)
   }
 
   /** Distinct users of [[pairs]] (for user-level algorithms like BundleGRD). */

@@ -117,7 +117,13 @@ object Dynamics {
 
   /** Dynamic preference P_pref(u,y) = clamp01(basePref + β·contrib(y)). */
   def pref(inst: ProblemInstance, basePref: Double, contrib: Double): Double =
-    math.min(1.0, math.max(0.0, basePref + inst.params.beta * contrib))
+    clamp01(basePref + inst.params.beta * contrib)
+
+  /** `v` clamped to [0, 1]: the bits of `math.min(1.0, math.max(0.0, v))`
+    * for every double (NaN passes through, −0.0 becomes +0.0) without the
+    * library calls' NaN and signed-zero branches.
+    */
+  private[dynamics] def clamp01(v: Double): Double = if (v <= 0.0) 0.0 else if (v >= 1.0) 1.0 else v
 
   /** Expected-Jaccard similarity of two adoption vectors:
     * sim = ⟨a_u, a_v⟩ / (‖a_u‖₁ + ‖a_v‖₁ − ⟨a_u, a_v⟩ + ε).
@@ -148,5 +154,10 @@ object Dynamics {
 
   /** Dynamic influence strength P_act(u,v) = min(ActCap, base + γ·sim). */
   def act(inst: ProblemInstance, base: Double, similarity: Double): Double =
-    math.min(ActCap, base + inst.params.gamma * similarity)
+    capAct(base + inst.params.gamma * similarity)
+
+  /** The bits of `math.min(ActCap, v)` for every double (NaN and −0.0 pass
+    * through).
+    */
+  private[dynamics] def capAct(v: Double): Double = if (v >= ActCap) ActCap else v
 }

@@ -12,9 +12,19 @@ import org.apache.spark.sql.functions._
   */
 object RelevanceEngine {
 
-  /** Distinct item->neighbor projection for one edge type. */
-  private def proj(edges: DataFrame, etype: String): DataFrame =
-    edges.filter(col("etype") === etype).select(col("src").as("item"), col("dst").as("nb")).distinct()
+  /** Common-neighbor counts of every item pair under each edge type in
+    * `ets`: DataFrame(etype, x, y, cnt) with x < y, from one self-join of
+    * the distinct (etype, item, nb) projection on (etype, nb).
+    */
+  private def sharedCounts(edges: DataFrame, ets: Seq[String]): DataFrame = {
+    val e = edges.filter(col("etype").isin(ets: _*))
+      .select(col("etype"), col("src").as("item"), col("dst").as("nb")).distinct()
+    e.as("a")
+      .join(e.as("b"),
+        col("a.etype") === col("b.etype") && col("a.nb") === col("b.nb") && col("a.item") < col("b.item"))
+      .groupBy(col("a.etype").as("etype"), col("a.item").as("x"), col("b.item").as("y"))
+      .agg(count(lit(1)).as("cnt"))
+  }
 
   /** Instance counts per item pair: DataFrame(x, y, cnt) with x < y.
     * SharedNeighbor counts common neighbors; Conjunction counts pairs of
@@ -22,11 +32,7 @@ object RelevanceEngine {
     */
   def pairCounts(edges: DataFrame, m: MetaGraph): DataFrame = m match {
     case MetaGraph.SharedNeighbor(_, _, etype) =>
-      val e = proj(edges, etype)
-      e.as("a")
-        .join(e.as("b"), col("a.nb") === col("b.nb") && col("a.item") < col("b.item"))
-        .groupBy(col("a.item").as("x"), col("b.item").as("y"))
-        .agg(count(lit(1)).as("cnt"))
+      sharedCounts(edges, Seq(etype)).select(col("x"), col("y"), col("cnt"))
     case MetaGraph.Conjunction(_, _, e1, e2) =>
       val c1 = pairCounts(edges, MetaGraph.SharedNeighbor("", m.kind, e1))
       val c2 = pairCounts(edges, MetaGraph.SharedNeighbor("", m.kind, e2))
@@ -67,20 +73,50 @@ object RelevanceEngine {
     */
   def collectMatrix(rel: DataFrame, nItems: Int): Array[Array[Double]] = {
     val mat = Array.fill(nItems, nItems)(0.0)
-    rel.select("x", "y", "s").collect().foreach { r =>
-      val x = r.getLong(0).toInt; val y = r.getLong(1).toInt; val s = r.getDouble(2)
-      require(x >= 0 && x < nItems && y >= 0 && y < nItems, s"item id out of range: ($x,$y)")
-      mat(x)(y) = s
-      mat(y)(x) = s
-    }
+    rel.select("x", "y", "s").collect().foreach(r => put(mat, r.getLong(0), r.getLong(1), r.getDouble(2)))
     mat
   }
 
-  /** Collect matrices for each meta-graph in `ms` order (absent pair tables
-    * yield all-zero matrices).
+  private def put(mat: Array[Array[Double]], x: Long, y: Long, s: Double): Unit = {
+    val n = mat.length
+    require(x >= 0 && x < n && y >= 0 && y < n, s"item id out of range: ($x,$y)")
+    mat(x.toInt)(y.toInt) = s
+    mat(y.toInt)(x.toInt) = s
+  }
+
+  /** Matrices for each meta-graph in `ms` order, equal bit for bit to
+    * `collectMatrix(relevance(edges, m), nItems)` per meta-graph (absent
+    * pair tables yield all-zero matrices). One Spark query counts the
+    * common neighbors under every edge type the set reads; the collected
+    * counts then give a conjunction's product and each meta-graph's
+    * `cnt / max`, the same `Long` product and double division `relevance`
+    * runs.
     */
-  def collectMatrices(edges: DataFrame, ms: Seq[MetaGraph], nItems: Int): Vector[Array[Array[Double]]] =
-    ms.iterator.map(m => collectMatrix(relevance(edges, m), nItems)).toVector
+  def collectMatrices(edges: DataFrame, ms: Seq[MetaGraph], nItems: Int): Vector[Array[Array[Double]]] = {
+    val ets = ms.flatMap {
+      case MetaGraph.SharedNeighbor(_, _, t)   => Seq(t)
+      case MetaGraph.Conjunction(_, _, t1, t2) => Seq(t1, t2)
+    }.distinct
+    val byType: Map[String, Map[(Long, Long), Long]] =
+      sharedCounts(edges, ets).collect().toSeq
+        .groupMap(_.getString(0))(r => (r.getLong(1), r.getLong(2)) -> r.getLong(3))
+        .map { case (t, cs) => t -> cs.toMap }
+    def counts(t: String) = byType.getOrElse(t, Map.empty[(Long, Long), Long])
+    ms.iterator.map { m =>
+      val cnt = m match {
+        case MetaGraph.SharedNeighbor(_, _, t) => counts(t)
+        case MetaGraph.Conjunction(_, _, t1, t2) =>
+          val c2 = counts(t2)
+          counts(t1).flatMap { case (p, c) => c2.get(p).map(d => p -> Math.multiplyExact(c, d)) }
+      }
+      val mat = Array.fill(nItems, nItems)(0.0)
+      if (cnt.nonEmpty) {
+        val maxCnt = cnt.valuesIterator.max.toDouble
+        cnt.foreach { case ((x, y), c) => put(mat, x, y, c.toDouble / maxCnt) }
+      }
+      mat
+    }.toVector
+  }
 
   /** DuckDB SQL computing the same (x, y, s) over a VARCHAR-typed `edges`
     * table (the oracle loads every column as VARCHAR, hence the casts).

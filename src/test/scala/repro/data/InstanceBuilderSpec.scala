@@ -3,6 +3,8 @@ package repro.data
 import repro.SparkSpec
 import repro.core.Seed
 import repro.diffusion.LocalDiffusion
+import repro.kg.{KGGenerator, RelevanceEngine}
+import repro.social.SocialGen
 
 class InstanceBuilderSpec extends SparkSpec {
 
@@ -45,6 +47,26 @@ class InstanceBuilderSpec extends SparkSpec {
     val inst = InstanceBuilder.build(spark, smallCfg)
     assert(inst.cMeta.exists(m => inst.metaPairs(m).nonEmpty), "some complementary relevance")
     assert(inst.sMeta.exists(m => inst.metaPairs(m).nonEmpty), "some substitutable relevance")
+  }
+
+  test("build equals fromParts over the per-meta-graph relevance matrices") {
+    def same(a: Array[_ <: AnyRef], b: Array[_ <: AnyRef]) =
+      java.util.Arrays.deepEquals(a.asInstanceOf[Array[AnyRef]], b.asInstanceOf[Array[AnyRef]])
+    Seq(smallCfg, DatasetGen.amazonLite(budget = 3, scale = 0.0)).foreach { cfg =>
+      val kgEdges = KGGenerator.edges(spark, cfg.kg)
+      val metaS = cfg.metaGraphs.map(m =>
+        RelevanceEngine.collectMatrix(RelevanceEngine.relevance(kgEdges, m), cfg.nItems))
+      val edgePairs = SocialGen.collectEdges(SocialGen.edges(spark, cfg.nUsers, cfg.nEdges, cfg.socialSeed))
+      val want = InstanceBuilder.fromParts(cfg, edgePairs, metaS)
+      val got = InstanceBuilder.build(spark, cfg)
+      assert(got.nUsers == want.nUsers && got.nItems == want.nItems && got.itemNames == want.itemNames, cfg.name)
+      assert(got.metaKinds == want.metaKinds && got.budget == want.budget && got.T == want.T &&
+        got.params == want.params, cfg.name)
+      assert(java.util.Arrays.equals(got.importance, want.importance), cfg.name)
+      assert(same(got.inNbr, want.inNbr) && same(got.inAct, want.inAct) && same(got.outNbr, want.outNbr), cfg.name)
+      assert(same(got.basePref, want.basePref) && same(got.cost, want.cost), cfg.name)
+      assert(same(got.metaS.toArray, want.metaS.toArray), cfg.name)
+    }
   }
 
   test("fromParts rejects out-of-range social edges") {

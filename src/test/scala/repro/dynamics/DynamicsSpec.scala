@@ -138,4 +138,20 @@ class DynamicsSpec extends AnyFunSuite {
     val fi = inst.withParams(Params(gamma = 0.0))
     assert(Dynamics.act(fi, 0.25, 0.9) == 0.25)
   }
+
+  test("clamp01 and capAct return the bits of the min/max forms for every double") {
+    import java.lang.Double.{doubleToRawLongBits => bits, longBitsToDouble}
+    val cap = Dynamics.ActCap
+    val special = Seq(0.0, -0.0, Double.NaN, longBitsToDouble(0x7ff0000000000abcL),
+      longBitsToDouble(0xfff8000000000123L), Double.PositiveInfinity, Double.NegativeInfinity,
+      Double.MinPositiveValue, -Double.MinPositiveValue, Double.MaxValue, Double.MinValue,
+      1.0, math.nextUp(1.0), math.nextDown(1.0), -1.0,
+      cap, math.nextUp(cap), math.nextDown(cap), 0.5)
+    val rnd = new scala.util.Random(20261019L)
+    val inputs = special ++ Iterator.continually(longBitsToDouble(rnd.nextLong())).take(100000)
+    inputs.foreach { v =>
+      assert(bits(Dynamics.clamp01(v)) == bits(math.min(1.0, math.max(0.0, v))), s"clamp01(${bits(v)})")
+      assert(bits(Dynamics.capAct(v)) == bits(math.min(cap, v)), s"capAct(${bits(v)})")
+    }
+  }
 }

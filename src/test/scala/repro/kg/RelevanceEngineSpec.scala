@@ -3,6 +3,7 @@ package repro.kg
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core.RelKind
+import repro.data.DatasetGen
 
 class RelevanceEngineSpec extends SparkSpec {
   import KGSchema._
@@ -106,6 +107,59 @@ class RelevanceEngineSpec extends SparkSpec {
     assert(mats(0)(0)(1) == 1.0)
     assert(mats(1)(0)(2) == 1.0) // only category pair
     assert(mats(1)(0)(1) == 0.0)
+  }
+
+  /** The per-meta-graph path: one `relevance` query per meta-graph. */
+  private def perMeta(edges: org.apache.spark.sql.DataFrame, ms: Seq[MetaGraph], n: Int) =
+    ms.map(m => RelevanceEngine.collectMatrix(RelevanceEngine.relevance(edges, m), n)).toVector
+
+  private def assertSameBits(got: Vector[Array[Array[Double]]], want: Vector[Array[Array[Double]]], what: String): Unit = {
+    assert(got.size == want.size, what)
+    for (k <- want.indices; x <- want(k).indices)
+      assert(java.util.Arrays.equals(got(k)(x), want(k)(x)), s"$what: meta-graph $k, row $x")
+  }
+
+  test("collectMatrices equals the per-meta-graph relevance bit for bit on every dataset family") {
+    val families = Seq(DatasetGen.amazonSmall(), DatasetGen.amazonLite(), DatasetGen.yelpLite(),
+      DatasetGen.doubanLite(), DatasetGen.gowallaLite())
+    families.foreach { cfg =>
+      val edges = KGGenerator.edges(spark, cfg.kg)
+      val want = perMeta(edges, cfg.metaGraphs, cfg.nItems)
+      assert(want.exists(_.exists(_.exists(_ > 0.0))), cfg.name)
+      assertSameBits(RelevanceEngine.collectMatrices(edges, cfg.metaGraphs, cfg.nItems), want, cfg.name)
+    }
+    val hand = Seq(mFeat, mBrand, mCat, mConj)
+    assertSameBits(RelevanceEngine.collectMatrices(handEdges, hand, 3), perMeta(handEdges, hand, 3), "handEdges")
+  }
+
+  test("collectMatrices counts each edge type apart when types reuse neighbor ids") {
+    import spark.implicits._
+    // node 7 is a feature of item 0 and a brand of item 1, node 8 the reverse:
+    // no two items share a neighbor under one edge type, so every matrix is 0
+    val edges = Seq((0L, 7L, Supports), (1L, 8L, Supports), (1L, 7L, ProducedBy), (0L, 8L, ProducedBy),
+      (2L, 7L, Supports), (2L, 9L, ProducedBy)).toDF("src", "dst", "etype")
+    val ms = Seq(mFeat, mBrand, mConj)
+    val got = RelevanceEngine.collectMatrices(edges, ms, 3)
+    assertSameBits(got, perMeta(edges, ms, 3), "reused ids")
+    assert(got(0)(0)(2) == 1.0 && got(0)(0)(1) == 0.0 && got(1).forall(_.forall(_ == 0.0)))
+  }
+
+  test("collectMatrices ignores duplicate KG edges") {
+    val ms = Seq(mFeat, mBrand, mCat, mConj)
+    assertSameBits(RelevanceEngine.collectMatrices(handEdges.unionByName(handEdges), ms, 3),
+      perMeta(handEdges, ms, 3), "duplicated edges")
+  }
+
+  test("collectMatrices rejects out-of-range item ids") {
+    assertThrows[IllegalArgumentException](RelevanceEngine.collectMatrices(handEdges, Seq(mFeat), 2))
+  }
+
+  test("collectMatrices gives an all-zero matrix for a meta-graph over an absent edge type") {
+    val absent = MetaGraph.SharedNeighbor("mX", RelKind.Complementary, HasTag)
+    val conj = MetaGraph.Conjunction("mX2", RelKind.Substitutable, BelongsTo, HasTag)
+    val mats = RelevanceEngine.collectMatrices(handEdges, Seq(absent, mFeat, conj), 3)
+    assert(mats(0).forall(_.forall(_ == 0.0)) && mats(2).forall(_.forall(_ == 0.0)))
+    assert(mats(1)(0)(1) == 1.0 && mats(1)(1)(2) == 0.5)
   }
 
   test("collectMatrix rejects out-of-range item ids") {
