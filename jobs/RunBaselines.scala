@@ -16,7 +16,7 @@ object RunBaselines {
     val name = args.lift(0).getOrElse("amazon-lite")
     val budget = args.lift(1).map(_.toDouble).getOrElse(10.0)
     val t = args.lift(2).map(_.toInt).getOrElse(5)
-    val spark = SparkSession.builder.appName(s"baselines-$name").master(
+    val spark = SparkSession.builder().appName(s"baselines-$name").master(
       sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       val inst = InstanceBuilder.build(spark, RunDysim.dataset(name, budget, t))

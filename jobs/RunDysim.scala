@@ -26,7 +26,7 @@ object RunDysim {
     val name = args.lift(0).getOrElse("amazon-lite")
     val budget = args.lift(1).map(_.toDouble).getOrElse(10.0)
     val t = args.lift(2).map(_.toInt).getOrElse(5)
-    val spark = SparkSession.builder.appName(s"dysim-$name").master(
+    val spark = SparkSession.builder().appName(s"dysim-$name").master(
       sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       val inst = InstanceBuilder.build(spark, dataset(name, budget, t))

@@ -1,14 +1,16 @@
 package repro.kg
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Computes the meta-graph relevance `s(x,y|m)` from the KG edge DataFrame
-  * with Catalyst self-joins (the SCSE-style instance counting of Sec. V-A).
+  * (the SCSE-style instance counting of Sec. V-A).
   *
-  * Every query here has a DuckDB twin ([[duckSql]]) used by the oracle
-  * tests, so a wrong join or normalization is caught as a result diff, not
-  * just a crash.
+  * One Spark query (`sharedCounts`) counts common neighbors per edge
+  * type; one driver-side function (`scores`) turns those counts into
+  * each meta-graph's `s`. The DuckDB oracle tests hold [[collectMatrices]],
+  * the path every instance build runs, to [[duckSql]], so a wrong join or
+  * normalization is caught as a result diff, not just a crash.
   */
 object RelevanceEngine {
 
@@ -26,45 +28,49 @@ object RelevanceEngine {
       .agg(count(lit(1)).as("cnt"))
   }
 
-  /** Instance counts per item pair: DataFrame(x, y, cnt) with x < y.
-    * SharedNeighbor counts common neighbors; Conjunction counts pairs of
-    * common neighbors, i.e. the product of the two counts.
+  /** Runs [[sharedCounts]] once over every edge type `ms` reads and
+    * collects it: edge type → ((x, y) → count).
     */
-  def pairCounts(edges: DataFrame, m: MetaGraph): DataFrame = m match {
-    case MetaGraph.SharedNeighbor(_, _, etype) =>
-      sharedCounts(edges, Seq(etype)).select(col("x"), col("y"), col("cnt"))
-    case MetaGraph.Conjunction(_, _, e1, e2) =>
-      val c1 = pairCounts(edges, MetaGraph.SharedNeighbor("", m.kind, e1))
-      val c2 = pairCounts(edges, MetaGraph.SharedNeighbor("", m.kind, e2))
-      c1.as("l")
-        .join(c2.as("r"), col("l.x") === col("r.x") && col("l.y") === col("r.y"))
-        .select(col("l.x").as("x"), col("l.y").as("y"), (col("l.cnt") * col("r.cnt")).as("cnt"))
+  private def collectCounts(edges: DataFrame, ms: Seq[MetaGraph]): Map[String, Map[(Long, Long), Long]] = {
+    val ets = ms.flatMap {
+      case MetaGraph.SharedNeighbor(_, _, t)   => Seq(t)
+      case MetaGraph.Conjunction(_, _, t1, t2) => Seq(t1, t2)
+    }.distinct
+    sharedCounts(edges, ets).collect().toSeq
+      .groupMap(_.getString(0))(r => (r.getLong(1), r.getLong(2)) -> r.getLong(3))
+      .map { case (t, cs) => t -> cs.toMap }
   }
 
-  /** Relevance per pair: DataFrame(x, y, s) with s = cnt / max(cnt) ∈ (0,1]. */
+  /** `s(x,y|m)` of every pair x < y with a positive instance count. A
+    * SharedNeighbor counts common neighbors; a Conjunction counts pairs of
+    * common neighbors, i.e. the `Long` product of the two counts on the
+    * pairs both types hold (`Math.multiplyExact` fails on overflow). Then
+    * `s = cnt / max(cnt)` over the meta-graph's pairs, so `s ∈ (0, 1]`.
+    */
+  private def scores(byType: Map[String, Map[(Long, Long), Long]], m: MetaGraph): Map[(Long, Long), Double] = {
+    def counts(t: String) = byType.getOrElse(t, Map.empty[(Long, Long), Long])
+    val cnt = m match {
+      case MetaGraph.SharedNeighbor(_, _, t) => counts(t)
+      case MetaGraph.Conjunction(_, _, t1, t2) =>
+        val c2 = counts(t2)
+        counts(t1).flatMap { case (p, c) => c2.get(p).map(d => p -> Math.multiplyExact(c, d)) }
+    }
+    if (cnt.isEmpty) Map.empty
+    else {
+      val maxCnt = cnt.valuesIterator.max.toDouble
+      cnt.map { case (p, c) => p -> c.toDouble / maxCnt }
+    }
+  }
+
+  /** One meta-graph's relevance as DataFrame(x: Long, y: Long, s: Double)
+    * with x < y: `scores` over `sharedCounts` of `m`'s edge types, so
+    * its values are those [[collectMatrices]] builds. Only the benchmark's
+    * split build (`perfbench` `splitBuild`) calls it; once that times
+    * `collectMatrices` instead, this and [[collectMatrix]] can go.
+    */
   def relevance(edges: DataFrame, m: MetaGraph): DataFrame = {
-    // one global aggregate carries the max and the (small by construction)
-    // pair table, so the counts are computed once and stay off the driver
-    pairCounts(edges, m)
-      .agg(max(col("cnt")).as("maxCnt"), collect_list(struct(col("x"), col("y"), col("cnt"))).as("ps"))
-      .select(col("maxCnt"), explode(col("ps")).as("p"))
-      .select(
-        col("p.x").as("x"),
-        col("p.y").as("y"),
-        (col("p.cnt").cast("double") / col("maxCnt").cast("double")).as("s"))
-  }
-
-  /** Relevance for a whole meta-graph set: DataFrame(meta, kind, x, y, s). */
-  def relevanceAll(edges: DataFrame, ms: Seq[MetaGraph]): DataFrame = {
-    require(ms.nonEmpty, "need at least one meta-graph")
-    ms.map { m =>
-      relevance(edges, m).select(
-        lit(m.name).as("meta"),
-        lit(m.kind.toString).as("kind"),
-        col("x"),
-        col("y"),
-        col("s"))
-    }.reduce(_.unionByName(_))
+    val rows = scores(collectCounts(edges, Seq(m)), m).iterator.map { case ((x, y), s) => (x, y, s) }.toSeq
+    edges.sparkSession.createDataFrame(rows).toDF("x", "y", "s")
   }
 
   /** Collect one meta-graph's relevance into a dense symmetric matrix
@@ -84,36 +90,15 @@ object RelevanceEngine {
     mat(y.toInt)(x.toInt) = s
   }
 
-  /** Matrices for each meta-graph in `ms` order, equal bit for bit to
-    * `collectMatrix(relevance(edges, m), nItems)` per meta-graph (absent
-    * pair tables yield all-zero matrices). One Spark query counts the
-    * common neighbors under every edge type the set reads; the collected
-    * counts then give a conjunction's product and each meta-graph's
-    * `cnt / max`, the same `Long` product and double division `relevance`
-    * runs.
+  /** Dense symmetric zero-diagonal matrices for each meta-graph in `ms`
+    * order (a meta-graph without instances yields an all-zero matrix), from
+    * one Spark query over every edge type the set reads.
     */
   def collectMatrices(edges: DataFrame, ms: Seq[MetaGraph], nItems: Int): Vector[Array[Array[Double]]] = {
-    val ets = ms.flatMap {
-      case MetaGraph.SharedNeighbor(_, _, t)   => Seq(t)
-      case MetaGraph.Conjunction(_, _, t1, t2) => Seq(t1, t2)
-    }.distinct
-    val byType: Map[String, Map[(Long, Long), Long]] =
-      sharedCounts(edges, ets).collect().toSeq
-        .groupMap(_.getString(0))(r => (r.getLong(1), r.getLong(2)) -> r.getLong(3))
-        .map { case (t, cs) => t -> cs.toMap }
-    def counts(t: String) = byType.getOrElse(t, Map.empty[(Long, Long), Long])
+    val byType = collectCounts(edges, ms)
     ms.iterator.map { m =>
-      val cnt = m match {
-        case MetaGraph.SharedNeighbor(_, _, t) => counts(t)
-        case MetaGraph.Conjunction(_, _, t1, t2) =>
-          val c2 = counts(t2)
-          counts(t1).flatMap { case (p, c) => c2.get(p).map(d => p -> Math.multiplyExact(c, d)) }
-      }
       val mat = Array.fill(nItems, nItems)(0.0)
-      if (cnt.nonEmpty) {
-        val maxCnt = cnt.valuesIterator.max.toDouble
-        cnt.foreach { case ((x, y), c) => put(mat, x, y, c.toDouble / maxCnt) }
-      }
+      scores(byType, m).foreach { case ((x, y), s) => put(mat, x, y, s) }
       mat
     }.toVector
   }

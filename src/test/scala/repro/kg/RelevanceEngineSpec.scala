@@ -1,9 +1,9 @@
 package repro.kg
 
-import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core.RelKind
 import repro.data.DatasetGen
+import scala.jdk.CollectionConverters._
 
 class RelevanceEngineSpec extends SparkSpec {
   import KGSchema._
@@ -26,72 +26,51 @@ class RelevanceEngineSpec extends SparkSpec {
   private val mCat = MetaGraph.SharedNeighbor("mS1", RelKind.Substitutable, BelongsTo)
   private val mConj = MetaGraph.Conjunction("mC3", RelKind.Complementary, Supports, ProducedBy)
 
-  test("pairCounts counts common neighbors (shared features)") {
-    val counts = RelevanceEngine.pairCounts(handEdges, mFeat).collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getLong(2))).toMap
-    assert(counts((0L, 1L)) == 2)
-    assert(counts((1L, 2L)) == 1)
-    assert(!counts.contains((0L, 2L)))
-  }
-
-  test("pairCounts on a conjunction is the product of common-neighbor counts") {
-    val counts = RelevanceEngine.pairCounts(handEdges, mConj).collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getLong(2))).toMap
-    // (0,1): 2 common features x 1 common brand = 2; (1,2): no common brand
-    assert(counts == Map((0L, 1L) -> 2L))
+  test("collectMatrices counts shared neighbors and a conjunction's product on hand-counted pairs") {
+    val Vector(feat, brand, cat, conj) = RelevanceEngine.collectMatrices(handEdges, Seq(mFeat, mBrand, mCat, mConj), 3)
+    // features: (0,1) share 2, (1,2) share 1, so s = 2/2 and 1/2
+    assert(feat(0)(1) == 1.0 && feat(1)(2) == 0.5 && feat(0)(2) == 0.0)
+    assert(brand(0)(1) == 1.0 && brand(0)(2) == 0.0 && brand(1)(2) == 0.0)
+    assert(cat(0)(2) == 1.0 && cat(0)(1) == 0.0 && cat(1)(2) == 0.0)
+    // (0,1): 2 common features x 1 common brand; (1,2) has no common brand
+    assert(conj(0)(1) == 1.0 && conj(0)(2) == 0.0 && conj(1)(2) == 0.0)
   }
 
   test("relevance normalizes by the per-meta-graph max count") {
     val rel = RelevanceEngine.relevance(handEdges, mFeat).collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
-    assert(math.abs(rel((0L, 1L)) - 1.0) < 1e-12)
-    assert(math.abs(rel((1L, 2L)) - 0.5) < 1e-12)
+    assert(rel == Map((0L, 1L) -> 1.0, (1L, 2L) -> 0.5))
   }
 
-  test("duplicate KG edges do not inflate instance counts") {
-    val dup = handEdges.unionByName(handEdges)
-    val a = RelevanceEngine.pairCounts(handEdges, mFeat).collect().toSet
-    val b = RelevanceEngine.pairCounts(dup, mFeat).collect().toSet
-    assert(a == b)
+  /** Positive upper-triangle entries of a relevance matrix as DataFrame(x, y, s). */
+  private def entries(mat: Array[Array[Double]]) = {
+    import spark.implicits._
+    (for (x <- mat.indices; y <- x + 1 until mat.length if mat(x)(y) > 0.0)
+      yield (x.toLong, y.toLong, mat(x)(y))).toDF("x", "y", "s")
   }
 
-  test("oracle: SharedNeighbor relevance matches DuckDB") {
-    val sparkDf = RelevanceEngine.relevance(handEdges, mFeat)
-      .select(col("x"), col("y"), col("s"))
-    Oracle.assertEquivalent(sparkDf, RelevanceEngine.duckSql(mFeat), "edges" -> handEdges)
-  }
-
-  test("oracle: Conjunction relevance matches DuckDB") {
-    val sparkDf = RelevanceEngine.relevance(handEdges, mConj)
-      .select(col("x"), col("y"), col("s"))
-    Oracle.assertEquivalent(sparkDf, RelevanceEngine.duckSql(mConj), "edges" -> handEdges)
-  }
-
-  test("oracle: generated 6-type KG relevance matches DuckDB for every meta-graph") {
-    val edges = KGGenerator.edges(spark, KGSpec(nItems = 15, nFeatures = 12, nBrands = 4,
-      nCategories = 3, nTags = 8, featuresPerItem = 3, tagsPerItem = 2, sixType = true, seed = 13L))
-    MetaGraph.sixTypeSet.foreach { m =>
-      val sparkDf = RelevanceEngine.relevance(edges, m).select(col("x"), col("y"), col("s"))
-      if (!sparkDf.isEmpty)
-        Oracle.assertEquivalent(sparkDf, RelevanceEngine.duckSql(m), "edges" -> edges)
+  test("oracle: collectMatrices matches DuckDB and keeps the relevance invariants on every dataset family") {
+    val families = Seq(DatasetGen.amazonSmall(), DatasetGen.amazonLite(), DatasetGen.yelpLite(),
+      DatasetGen.doubanLite(), DatasetGen.gowallaLite())
+      .map(cfg => (cfg.name, KGGenerator.edges(spark, cfg.kg), cfg.metaGraphs, cfg.nItems))
+    assert(families.map(_._3).toSet == Set(MetaGraph.sixTypeSet, MetaGraph.threeTypeSet))
+    (("handEdges", handEdges, Vector(mFeat, mBrand, mCat, mConj), 3) +: families).foreach { case (name, kg, ms, n) =>
+      // the oracle reads the edges once per meta-graph: hand it a local copy
+      val edges = spark.createDataFrame(kg.collect().toSeq.asJava, kg.schema)
+      val mats = RelevanceEngine.collectMatrices(edges, ms, n)
+      ms.zip(mats).foreach { case (m, mat) =>
+        val what = s"$name ${m.name}"
+        for (x <- 0 until n) {
+          assert(mat(x)(x) == 0.0, what)
+          for (y <- 0 until n) assert(mat(x)(y) == mat(y)(x) && mat(x)(y) >= 0.0 && mat(x)(y) <= 1.0, what)
+        }
+        val top = mat.iterator.flatten.max
+        assert(top == 0.0 || top == 1.0, s"$what: max $top")
+        Oracle.assertEquivalent(entries(mat), RelevanceEngine.duckSql(m), "edges" -> edges)
+      }
+      def nonZero(kind: RelKind) = ms.zip(mats).exists { case (m, mat) => m.kind == kind && mat.exists(_.exists(_ > 0.0)) }
+      assert(nonZero(RelKind.Complementary) && nonZero(RelKind.Substitutable), name)
     }
-  }
-
-  test("oracle: generated 3-type KG relevance matches DuckDB for every meta-graph") {
-    val edges = KGGenerator.edges(spark, KGSpec(nItems = 15, nCategories = 5, nTags = 10,
-      tagsPerItem = 3, sixType = false, seed = 14L))
-    MetaGraph.threeTypeSet.foreach { m =>
-      val sparkDf = RelevanceEngine.relevance(edges, m).select(col("x"), col("y"), col("s"))
-      if (!sparkDf.isEmpty)
-        Oracle.assertEquivalent(sparkDf, RelevanceEngine.duckSql(m), "edges" -> edges)
-    }
-  }
-
-  test("relevanceAll stacks every meta-graph with kind labels") {
-    val all = RelevanceEngine.relevanceAll(handEdges, Seq(mFeat, mBrand, mCat)).collect()
-    val metas = all.map(_.getString(0)).toSet
-    assert(metas == Set("mC1", "mC2", "mS1"))
-    assert(all.forall(r => Set("Complementary", "Substitutable").contains(r.getString(1))))
   }
 
   test("collectMatrix builds a symmetric zero-diagonal matrix") {
@@ -109,45 +88,26 @@ class RelevanceEngineSpec extends SparkSpec {
     assert(mats(1)(0)(1) == 0.0)
   }
 
-  /** The per-meta-graph path: one `relevance` query per meta-graph. */
-  private def perMeta(edges: org.apache.spark.sql.DataFrame, ms: Seq[MetaGraph], n: Int) =
-    ms.map(m => RelevanceEngine.collectMatrix(RelevanceEngine.relevance(edges, m), n)).toVector
-
-  private def assertSameBits(got: Vector[Array[Array[Double]]], want: Vector[Array[Array[Double]]], what: String): Unit = {
-    assert(got.size == want.size, what)
-    for (k <- want.indices; x <- want(k).indices)
-      assert(java.util.Arrays.equals(got(k)(x), want(k)(x)), s"$what: meta-graph $k, row $x")
-  }
-
-  test("collectMatrices equals the per-meta-graph relevance bit for bit on every dataset family") {
-    val families = Seq(DatasetGen.amazonSmall(), DatasetGen.amazonLite(), DatasetGen.yelpLite(),
-      DatasetGen.doubanLite(), DatasetGen.gowallaLite())
-    families.foreach { cfg =>
-      val edges = KGGenerator.edges(spark, cfg.kg)
-      val want = perMeta(edges, cfg.metaGraphs, cfg.nItems)
-      assert(want.exists(_.exists(_.exists(_ > 0.0))), cfg.name)
-      assertSameBits(RelevanceEngine.collectMatrices(edges, cfg.metaGraphs, cfg.nItems), want, cfg.name)
-    }
-    val hand = Seq(mFeat, mBrand, mCat, mConj)
-    assertSameBits(RelevanceEngine.collectMatrices(handEdges, hand, 3), perMeta(handEdges, hand, 3), "handEdges")
-  }
-
   test("collectMatrices counts each edge type apart when types reuse neighbor ids") {
     import spark.implicits._
     // node 7 is a feature of item 0 and a brand of item 1, node 8 the reverse:
     // no two items share a neighbor under one edge type, so every matrix is 0
     val edges = Seq((0L, 7L, Supports), (1L, 8L, Supports), (1L, 7L, ProducedBy), (0L, 8L, ProducedBy),
       (2L, 7L, Supports), (2L, 9L, ProducedBy)).toDF("src", "dst", "etype")
-    val ms = Seq(mFeat, mBrand, mConj)
-    val got = RelevanceEngine.collectMatrices(edges, ms, 3)
-    assertSameBits(got, perMeta(edges, ms, 3), "reused ids")
-    assert(got(0)(0)(2) == 1.0 && got(0)(0)(1) == 0.0 && got(1).forall(_.forall(_ == 0.0)))
+    val Vector(feat, brand, conj) = RelevanceEngine.collectMatrices(edges, Seq(mFeat, mBrand, mConj), 3)
+    // only items 0 and 2 share a feature (node 7)
+    assert(feat(0)(2) == 1.0 && feat(0)(1) == 0.0 && feat(1)(2) == 0.0)
+    assert(brand.forall(_.forall(_ == 0.0)) && conj.forall(_.forall(_ == 0.0)))
   }
 
   test("collectMatrices ignores duplicate KG edges") {
+    // item 2's edges thrice, the others twice: counted with multiplicity,
+    // (1,2) would share as many features as (0,1)
+    val dup = handEdges.unionByName(handEdges).unionByName(handEdges.filter("src = 2"))
     val ms = Seq(mFeat, mBrand, mCat, mConj)
-    assertSameBits(RelevanceEngine.collectMatrices(handEdges.unionByName(handEdges), ms, 3),
-      perMeta(handEdges, ms, 3), "duplicated edges")
+    val got = RelevanceEngine.collectMatrices(dup, ms, 3)
+    val want = RelevanceEngine.collectMatrices(handEdges, ms, 3)
+    for (k <- ms.indices; x <- 0 until 3) assert(java.util.Arrays.equals(got(k)(x), want(k)(x)), s"${ms(k).name}, row $x")
   }
 
   test("collectMatrices rejects out-of-range item ids") {
@@ -165,13 +125,5 @@ class RelevanceEngineSpec extends SparkSpec {
   test("collectMatrix rejects out-of-range item ids") {
     assertThrows[IllegalArgumentException](
       RelevanceEngine.collectMatrix(RelevanceEngine.relevance(handEdges, mFeat), 1))
-  }
-
-  test("s values always lie in (0, 1]") {
-    val edges = KGGenerator.edges(spark, KGSpec(nItems = 25, sixType = true, seed = 15L))
-    MetaGraph.sixTypeSet.foreach { m =>
-      val ss = RelevanceEngine.relevance(edges, m).select("s").collect().map(_.getDouble(0))
-      assert(ss.forall(s => s > 0.0 && s <= 1.0 + 1e-12), m.name)
-    }
   }
 }
