@@ -1,5 +1,6 @@
 package repro.kg
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.core.RelKind
 import repro.data.DatasetGen
@@ -26,20 +27,48 @@ class RelevanceEngineSpec extends SparkSpec {
   private val mCat = MetaGraph.SharedNeighbor("mS1", RelKind.Substitutable, BelongsTo)
   private val mConj = MetaGraph.Conjunction("mC3", RelKind.Complementary, Supports, ProducedBy)
 
-  test("collectMatrices counts shared neighbors and a conjunction's product on hand-counted pairs") {
-    val Vector(feat, brand, cat, conj) = RelevanceEngine.collectMatrices(handEdges, Seq(mFeat, mBrand, mCat, mConj), 3)
+  // A hand KG where the conjunction's product and a sum disagree: (0,1) share
+  // 2 features and 2 brands (4 instances), (1,2) 1 feature and 3 brands (3)
+  private def productEdges = {
+    import spark.implicits._
+    val feats = Map(0L -> Seq(10L, 11L), 1L -> Seq(10L, 11L, 12L), 2L -> Seq(12L))
+    val brands = Map(0L -> Seq(20L, 21L), 1L -> Seq(20L, 21L, 22L, 23L, 24L), 2L -> Seq(22L, 23L, 24L))
+    (feats.toSeq.flatMap { case (i, ns) => ns.map(n => (i, 100L + n, Supports)) } ++
+      brands.toSeq.flatMap { case (i, ns) => ns.map(n => (i, 200L + n, ProducedBy)) }).toDF("src", "dst", "etype")
+  }
+
+  // The two hand counts keep the names of the former pairCounts query's tests;
+  // the counts now come from collectMatrices.
+  test("pairCounts counts common neighbors (shared features)") {
+    val Vector(feat, brand, cat) = RelevanceEngine.collectMatrices(handEdges, Seq(mFeat, mBrand, mCat), 3)
     // features: (0,1) share 2, (1,2) share 1, so s = 2/2 and 1/2
     assert(feat(0)(1) == 1.0 && feat(1)(2) == 0.5 && feat(0)(2) == 0.0)
     assert(brand(0)(1) == 1.0 && brand(0)(2) == 0.0 && brand(1)(2) == 0.0)
     assert(cat(0)(2) == 1.0 && cat(0)(1) == 0.0 && cat(1)(2) == 0.0)
+  }
+
+  test("pairCounts on a conjunction is the product of common-neighbor counts") {
+    val Vector(conj) = RelevanceEngine.collectMatrices(handEdges, Seq(mConj), 3)
     // (0,1): 2 common features x 1 common brand; (1,2) has no common brand
     assert(conj(0)(1) == 1.0 && conj(0)(2) == 0.0 && conj(1)(2) == 0.0)
+    // 4 and 3 instances: a sum (4 and 4) would give (1,2) s = 1
+    val Vector(prod) = RelevanceEngine.collectMatrices(productEdges, Seq(mConj), 3)
+    assert(prod(0)(1) == 1.0 && prod(1)(2) == 0.75 && prod(0)(2) == 0.0)
   }
 
   test("relevance normalizes by the per-meta-graph max count") {
     val rel = RelevanceEngine.relevance(handEdges, mFeat).collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
     assert(rel == Map((0L, 1L) -> 1.0, (1L, 2L) -> 0.5))
+  }
+
+  test("duplicate KG edges do not inflate instance counts") {
+    // through relevance, the DataFrame entry point: item 2's edges thrice,
+    // the others twice; counted with multiplicity, mFeat's (1,2) would read 0.75
+    val dup = handEdges.unionByName(handEdges).unionByName(handEdges.filter("src = 2"))
+    def rel(edges: DataFrame, m: MetaGraph) = RelevanceEngine.relevance(edges, m).collect()
+      .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
+    for (m <- Seq(mFeat, mBrand, mCat, mConj)) assert(rel(dup, m) == rel(handEdges, m), m.name)
   }
 
   /** Positive upper-triangle entries of a relevance matrix as DataFrame(x, y, s). */
@@ -49,15 +78,55 @@ class RelevanceEngineSpec extends SparkSpec {
       yield (x.toLong, y.toLong, mat(x)(y))).toDF("x", "y", "s")
   }
 
-  test("oracle: collectMatrices matches DuckDB and keeps the relevance invariants on every dataset family") {
-    val families = Seq(DatasetGen.amazonSmall(), DatasetGen.amazonLite(), DatasetGen.yelpLite(),
+  /** The edges as a local DataFrame: the oracle reads them once per meta-graph. */
+  private def local(kg: DataFrame) = spark.createDataFrame(kg.collect().toSeq.asJava, kg.schema)
+
+  /** Diffs collectMatrices' entries for every meta-graph of `ms` against DuckDB. */
+  private def assertMatchesDuck(edges: DataFrame, ms: Seq[MetaGraph], n: Int): Unit =
+    ms.zip(RelevanceEngine.collectMatrices(edges, ms, n)).foreach { case (m, mat) =>
+      Oracle.assertEquivalent(entries(mat), RelevanceEngine.duckSql(m), "edges" -> edges)
+    }
+
+  /** (name, local edges, meta-graphs, items, collectMatrices output) of every dataset family and handEdges. */
+  private lazy val families = {
+    val gen = Seq(DatasetGen.amazonSmall(), DatasetGen.amazonLite(), DatasetGen.yelpLite(),
       DatasetGen.doubanLite(), DatasetGen.gowallaLite())
-      .map(cfg => (cfg.name, KGGenerator.edges(spark, cfg.kg), cfg.metaGraphs, cfg.nItems))
-    assert(families.map(_._3).toSet == Set(MetaGraph.sixTypeSet, MetaGraph.threeTypeSet))
-    (("handEdges", handEdges, Vector(mFeat, mBrand, mCat, mConj), 3) +: families).foreach { case (name, kg, ms, n) =>
-      // the oracle reads the edges once per meta-graph: hand it a local copy
-      val edges = spark.createDataFrame(kg.collect().toSeq.asJava, kg.schema)
-      val mats = RelevanceEngine.collectMatrices(edges, ms, n)
+      .map(cfg => (cfg.name, local(KGGenerator.edges(spark, cfg.kg)), cfg.metaGraphs, cfg.nItems))
+    assert(gen.map(_._3).toSet == Set(MetaGraph.sixTypeSet, MetaGraph.threeTypeSet))
+    (gen :+ (("handEdges", local(handEdges), Vector(mFeat, mBrand, mCat, mConj), 3))).map { case (name, e, ms, n) =>
+      (name, e, ms, n, RelevanceEngine.collectMatrices(e, ms, n))
+    }
+  }
+
+  test("oracle: SharedNeighbor relevance matches DuckDB") {
+    assertMatchesDuck(local(handEdges), Seq(mFeat, mBrand, mCat), 3)
+  }
+
+  test("oracle: Conjunction relevance matches DuckDB") {
+    assertMatchesDuck(local(handEdges), Seq(mConj), 3)
+    assertMatchesDuck(local(productEdges), Seq(mConj), 3)
+  }
+
+  private def assertFamiliesMatchDuck(set: Seq[MetaGraph]): Unit = {
+    val fs = families.filter(_._3 == set)
+    assert(fs.nonEmpty)
+    fs.foreach { case (_, edges, ms, _, mats) =>
+      ms.zip(mats).foreach { case (m, mat) =>
+        Oracle.assertEquivalent(entries(mat), RelevanceEngine.duckSql(m), "edges" -> edges)
+      }
+    }
+  }
+
+  test("oracle: generated 6-type KG relevance matches DuckDB for every meta-graph") {
+    assertFamiliesMatchDuck(MetaGraph.sixTypeSet)
+  }
+
+  test("oracle: generated 3-type KG relevance matches DuckDB for every meta-graph") {
+    assertFamiliesMatchDuck(MetaGraph.threeTypeSet)
+  }
+
+  test("s values always lie in (0, 1]") {
+    families.foreach { case (name, _, ms, n, mats) =>
       ms.zip(mats).foreach { case (m, mat) =>
         val what = s"$name ${m.name}"
         for (x <- 0 until n) {
@@ -66,10 +135,18 @@ class RelevanceEngineSpec extends SparkSpec {
         }
         val top = mat.iterator.flatten.max
         assert(top == 0.0 || top == 1.0, s"$what: max $top")
-        Oracle.assertEquivalent(entries(mat), RelevanceEngine.duckSql(m), "edges" -> edges)
       }
       def nonZero(kind: RelKind) = ms.zip(mats).exists { case (m, mat) => m.kind == kind && mat.exists(_.exists(_ > 0.0)) }
       assert(nonZero(RelKind.Complementary) && nonZero(RelKind.Substitutable), name)
+    }
+  }
+
+  test("collectMatrices equals the per-meta-graph relevance bit for bit on every dataset family") {
+    families.foreach { case (name, edges, ms, n, mats) =>
+      ms.zip(mats).foreach { case (m, mat) =>
+        val want = RelevanceEngine.collectMatrix(RelevanceEngine.relevance(edges, m), n)
+        for (x <- 0 until n) assert(java.util.Arrays.equals(mat(x), want(x)), s"$name ${m.name}, row $x")
+      }
     }
   }
 
