@@ -35,7 +35,8 @@ object FrozenSpread {
     * frozen step (DESIGN.md Sec. 4, "Singleton bound"):
     * G₀(v,y) = imp(y) and
     * Gₖ(u,x) = Σ_{v∈out(u)} P_act(u,v)·P_pref(v,x)·(Gₖ₋₁(v,x) + extraScale·Σ_y A₀(x,y)·Gₖ₋₁(v,y)),
-    * with A₀(x,y) = min(1, 1/Σ_c w0_c·R_c(x))·Σ_c w0_c·s_c(x,y); the bound
+    * with A₀(x,y) = min(1, 1/Σ_c w0_c·R_c(x))·Σ_c w0_c·s_c(x,y), whose cap
+    * is [[Dynamics.assocCap]] at the initial weightings w0; the bound
     * is Σ_{k=0..hops} Gₖ, times 1 + [[BoundMargin]], plus [[BoundFloor]].
     * Costs hops·(nUsers·nnz(A₀) + arcs·nItems).
     */
@@ -46,17 +47,11 @@ object FrozenSpread {
     require(frozen.importance.forall(_ >= 0.0), "singletonBound needs non-negative importance")
     val n = frozen.nUsers
     val nI = frozen.nItems
-    // the frozen weightings, which the engine copies to every touched user
-    val w0 = new Array[Double](frozen.nMeta)
-    Dynamics.updateUserWeights(frozen, new Array[Double](nI), w0)
+    // the frozen weightings: with η = 0 every user keeps the initial ones
+    val w0 = Dynamics.initUserWeights(frozen)
     val cMeta = frozen.cMeta.toArray
     val cNbrs = cMeta.map(frozen.metaNbrs)
-    val cap = Array.tabulate(nI) { x =>
-      var rowSum = 0.0
-      var c = 0
-      while (c < cMeta.length) { rowSum += w0(cMeta(c)) * cNbrs(c).rowSum(x); c += 1 }
-      if (rowSum > 1.0) 1.0 / rowSum else 1.0
-    }
+    val cap = Array.tabulate(nI)(Dynamics.assocCap(w0, cMeta, cNbrs, _))
     val pPref = Array.tabulate(n, nI)((v, x) => Dynamics.pref(frozen, frozen.basePref(v)(x), 0.0))
     val act = Array.tabulate(n)(v => frozen.inAct(v).map(Dynamics.act(frozen, _, 0.0)))
     var g = Array.fill(n)(frozen.importance.clone())

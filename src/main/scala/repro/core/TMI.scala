@@ -157,10 +157,7 @@ object TMI {
     val users = nominees.map(_.user).distinct
     val distMaps: Map[Int, Array[Int]] =
       users.map(u => u -> hopDistances(inst, u, maxHops = 6)).toMap
-    val parent = Array.tabulate(nominees.length)(identity)
-    def find(i: Int): Int = if (parent(i) == i) i else { parent(i) = find(parent(i)); parent(i) }
-    def union(i: Int, j: Int): Unit = { parent(find(j)) = find(i) }
-    for (i <- nominees.indices; j <- (i + 1) until nominees.length) {
+    components(nominees.length) { (i, j) =>
       val ni = nominees(i); val nj = nominees(j)
       val hd = distMaps(ni.user)(nj.user) match {
         case -1 => Double.PositiveInfinity
@@ -169,10 +166,23 @@ object TMI {
       val rel =
         if (ni.item == nj.item) rC(ni.item).max // same item: treat as fully compatible
         else rC(ni.item)(nj.item) - rS(ni.item)(nj.item)
-      if (hd - Lambda * rel <= ClusterThresh) union(i, j)
-    }
-    nominees.indices.groupBy(find).values.map(idx => idx.map(nominees).toVector).toVector
+      hd - Lambda * rel <= ClusterThresh
+    }.map(idx => idx.map(nominees).toVector).toVector
       .sortBy(c => (-c.length, c.head.user, c.head.item))
+  }
+
+  /** The connected components of 0 until n under `linked`, which is asked
+    * once per pair i < j in row order: a union-find whose link makes
+    * find(i) the parent of find(j), grouped by root. Each component lists
+    * its members in ascending order; the components come in the order of
+    * `groupBy`'s map, which both callers then sort.
+    */
+  private def components(n: Int)(linked: (Int, Int) => Boolean): Iterable[IndexedSeq[Int]] = {
+    val parent = Array.tabulate(n)(identity)
+    def find(i: Int): Int = if (parent(i) == i) i else { parent(i) = find(parent(i)); parent(i) }
+    for (i <- 0 until n; j <- (i + 1) until n)
+      if (linked(i, j)) parent(find(j)) = find(i)
+    (0 until n).groupBy(find).values
   }
 
   /** Identify a market for each cluster: the users reachable from the
@@ -215,13 +225,7 @@ object TMI {
   def groupAndPrioritize(inst: ProblemInstance, markets: Vector[TargetMarket], cfg: Config): Vector[Vector[TargetMarket]] = {
     if (markets.isEmpty) return Vector.empty
     val (_, rS) = initialAvgRel(inst)
-    val parent = Array.tabulate(markets.length)(identity)
-    def find(i: Int): Int = if (parent(i) == i) i else { parent(i) = find(parent(i)); parent(i) }
-    for (i <- markets.indices; j <- (i + 1) until markets.length)
-      if ((markets(i).users & markets(j).users).size >= cfg.thetaCommon) parent(find(j)) = find(i)
-    markets.indices
-      .groupBy(find)
-      .values
+    components(markets.length)((i, j) => (markets(i).users & markets(j).users).size >= cfg.thetaCommon)
       .map { idx =>
         val group = idx.map(markets).toVector
         group.sortBy { m =>

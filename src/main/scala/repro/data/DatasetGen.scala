@@ -28,7 +28,6 @@ object DatasetGen {
   def amazonSmall(budget: Double = 6, t: Int = 3): DatasetConfig = DatasetConfig(
     name = "amazon-small",
     nUsers = 100,
-    nItems = 8,
     nEdges = 420,
     kg = KGSpec(nItems = 8, nFeatures = 10, nBrands = 4, nCategories = 3, nTags = 8,
       featuresPerItem = 3, tagsPerItem = 2, sixType = true, crossShare = 0.5, seed = 21L),
@@ -44,7 +43,6 @@ object DatasetGen {
   def amazonLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
     name = "amazon-lite",
     nUsers = math.max(50, (800 * scale).toInt),
-    nItems = 30,
     nEdges = math.max(200, (6400 * scale).toInt),
     kg = KGSpec(nItems = 30, nFeatures = 40, nBrands = 12, nCategories = 8, nTags = 30,
       featuresPerItem = 4, tagsPerItem = 3, sixType = true, crossShare = 0.5, seed = 41L),
@@ -59,7 +57,6 @@ object DatasetGen {
   def yelpLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
     name = "yelp-lite",
     nUsers = math.max(50, (600 * scale).toInt),
-    nItems = 24,
     nEdges = math.max(200, (4800 * scale).toInt),
     kg = KGSpec(nItems = 24, nFeatures = 32, nBrands = 10, nCategories = 6, nTags = 24,
       featuresPerItem = 4, tagsPerItem = 3, sixType = true, crossShare = 0.45, seed = 61L),
@@ -74,7 +71,6 @@ object DatasetGen {
   def doubanLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
     name = "douban-lite",
     nUsers = math.max(50, (1400 * scale).toInt),
-    nItems = 40,
     nEdges = math.max(200, (11000 * scale).toInt),
     kg = KGSpec(nItems = 40, nFeatures = 0, nBrands = 0, nCategories = 32, nTags = 24,
       featuresPerItem = 0, tagsPerItem = 4, sixType = false, crossShare = 0.5,
@@ -90,7 +86,6 @@ object DatasetGen {
   def gowallaLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
     name = "gowalla-lite",
     nUsers = math.max(50, (1000 * scale).toInt),
-    nItems = 32,
     nEdges = math.max(200, (8000 * scale).toInt),
     kg = KGSpec(nItems = 32, nFeatures = 0, nBrands = 0, nCategories = 12, nTags = 30,
       featuresPerItem = 0, tagsPerItem = 3, sixType = false, crossShare = 0.5,

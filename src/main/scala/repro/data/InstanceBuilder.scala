@@ -13,12 +13,12 @@ object ImportanceMode {
 }
 
 /** One synthetic dataset family (a "-lite" stand-in for a paper dataset —
-  * DESIGN.md Sec. 2).
+  * DESIGN.md Sec. 2). The item catalog is the KG's: [[nItems]] is
+  * `kg.nItems`.
   */
 final case class DatasetConfig(
     name: String,
     nUsers: Int,
-    nItems: Int,
     nEdges: Int,
     kg: KGSpec,
     metaGraphs: Vector[MetaGraph],
@@ -28,7 +28,9 @@ final case class DatasetConfig(
     params: Params = Params(),
     costScale: Double = 0.02,
     prefSeed: Long = 101L,
-    socialSeed: Long = 11L)
+    socialSeed: Long = 11L) {
+  def nItems: Int = kg.nItems
+}
 
 /** Assembles a driver-local [[ProblemInstance]] from the Spark substrates:
   * social graph DataFrame, KG DataFrame and the meta-graph relevance

@@ -33,8 +33,9 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   * Association step (DESIGN.md Sec. 4). A receiver's association terms
   * q·P_pref(x)·extraScale·min(1, 1/Σ_y r^C(x,y))·W(c)·s_c(x,y) are summed
   * per item y over all promoted x first, and each sum is multiplied by
-  * (1 − a(v,y)) once; the cap's row sum is Σ_c W(c)·R_c(x) over the static
-  * row sums [[repro.core.MetaNbrs.rowSum]]. This is the formula in another
+  * (1 − a(v,y)) once; the cap is [[repro.dynamics.Dynamics.assocCap]], whose
+  * row sum is Σ_c W(c)·R_c(x) over the static row sums
+  * [[repro.core.MetaNbrs.rowSum]]. This is the formula in another
   * summation order: equal in real arithmetic, and within 1e-12 of the
   * term-by-term sum in floating point (`KernelGoldenSpec`).
   *
@@ -44,8 +45,10 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *  - zero rates (`Params.frozen` and any rate set to 0): with γ = 0 the
   *    similarity is not computed (P_act = base + 0·sim = base); with β = 0
   *    the cross-elasticity is not computed (P_pref = base + 0·contrib); with
-  *    η = 0 the normalized weighting is computed once per run and copied to
-  *    each touched user (w0 + 0·e = w0 for every evidence e). `Params`
+  *    η = 0 the weightings are not updated: W0 + 0·e = W0 for every
+  *    evidence e, and with W0 = 1 the normalized W0/ΣW0 is the bits of
+  *    [[repro.dynamics.Dynamics.initUserWeights]], which every row holds
+  *    from [[start]] on (`DynamicsSpec` pins this). `Params`
   *    requires the rates to be finite and non-negative, so 0·x is ±0 and
   *    adding it changes nothing;
   *  - sparse similarity: each user's adopted items are kept in ascending
@@ -164,9 +167,7 @@ object LocalDiffusion {
     // zero-rate fast paths (see the object doc)
     val useSim = p.gamma != 0.0
     val usePref = p.beta != 0.0
-    val frozenW: Array[Double] =
-      if (p.eta != 0.0) null
-      else { val fw = new Array[Double](inst.nMeta); Dynamics.updateUserWeights(inst, new Array[Double](nI), fw); fw }
+    val useW = p.eta != 0.0
 
     // ascending adopted-item lists, for the sparse similarity (null
     // without it)
@@ -203,10 +204,7 @@ object LocalDiffusion {
         }
         x += 1
       }
-      if (touched) {
-        if (frozenW != null) System.arraycopy(frozenW, 0, w(v), 0, frozenW.length)
-        else Dynamics.updateUserWeights(inst, av, w(v))
-      }
+      if (touched && useW) Dynamics.updateUserWeights(inst, av, w(v))
       maxD
     }
 
@@ -317,20 +315,12 @@ object LocalDiffusion {
               // bounded by q · P_pref · scale (the r^C row is normalized to
               // sum <= 1 — DESIGN.md Sec. 4; keeps dense complementary
               // catalogs from exploding super-linearly under bundles). The
-              // row sum Σ_c w_c·R_c(x) uses the static row sums; the terms
-              // go to `ext` without their (1 − a(v,y)) factor, which is
-              // applied once per item below (a(v,·) holds until applyRow)
+              // terms go to `ext` without their (1 − a(v,y)) factor, which
+              // is applied once per item below (a(v,·) holds until applyRow)
               val base = q * pPref * p.extraScale
               if (base > 0.0) {
-                var rowSum = 0.0
+                val coef = base * Dynamics.assocCap(wv, cMeta, cNbrs, x)
                 var c = 0
-                while (c < cMeta.length) {
-                  val wm = wv(cMeta(c))
-                  if (wm > 0.0) rowSum += wm * cNbrs(c).rowSum(x)
-                  c += 1
-                }
-                val coef = base * (if (rowSum > 1.0) 1.0 / rowSum else 1.0)
-                c = 0
                 while (c < cMeta.length) {
                   val wm = wv(cMeta(c))
                   if (wm > 0.0) {

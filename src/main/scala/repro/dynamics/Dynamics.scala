@@ -1,6 +1,6 @@
 package repro.dynamics
 
-import repro.core.ProblemInstance
+import repro.core.{MetaNbrs, ProblemInstance}
 
 /** The closed-form factor model of DESIGN.md Sec. 4 — the four dynamic
   * factors of the paper (relevance measurement, preference estimation,
@@ -45,8 +45,10 @@ object Dynamics {
   }
 
   /** Updated weightings: W(u,m) ∝ w0 + η·e(u,m), normalized within each
-    * relationship class. With η = 0 (frozen params) this returns the
-    * uniform initial weights.
+    * relationship class. With η = 0 (frozen params) every class member gets
+    * W0/(|class|·W0) = 1.0/|class|, the bits of [[initUserWeights]] (W0 = 1,
+    * and a class sum of |class| ones is exact), so the diffusion engine
+    * leaves the weightings alone under η = 0.
     */
   def updateUserWeights(inst: ProblemInstance, a: Array[Double], out: Array[Double]): Unit = {
     normalizeClass(inst, inst.cMeta, a, out)
@@ -67,6 +69,23 @@ object Dynamics {
       k = 0
       while (k < metas.length) { out(metas(k)) /= sum; k += 1 }
     }
+  }
+
+  /** The association cap min(1, 1/Σ_y r^C(u,x,y)) of promoted item x, with
+    * the row sum Σ_{c∈C} w_c·R_c(x) taken over the static row sums
+    * [[repro.core.MetaNbrs.rowSum]] of `cNbrs` (the C meta-graphs `cMeta`,
+    * in that order). Only the w_c > 0 terms are added: a +0 term does not
+    * change a non-negative sum.
+    */
+  def assocCap(w: Array[Double], cMeta: Array[Int], cNbrs: Array[MetaNbrs], x: Int): Double = {
+    var rowSum = 0.0
+    var c = 0
+    while (c < cMeta.length) {
+      val wc = w(cMeta(c))
+      if (wc > 0.0) rowSum += wc * cNbrs(c).rowSum(x)
+      c += 1
+    }
+    if (rowSum > 1.0) 1.0 / rowSum else 1.0
   }
 
   /** Personal relevance r^C(u,x,y) = Σ_{m∈C} W(u,m)·s(x,y|m). */

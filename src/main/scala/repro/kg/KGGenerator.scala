@@ -32,8 +32,9 @@ final case class KGSpec(
   require(nItems >= 2, "need at least two items for relevance")
 }
 
-/** Deterministic generator of the synthetic knowledge graph as typed node
-  * and edge DataFrames (`nodes(id, ntype)`, `edges(src, dst, etype)`).
+/** Deterministic generator of the synthetic knowledge graph as a typed
+  * edge list and DataFrame (`edges(src, dst, etype)`); [[typeOf]] gives a
+  * node's type from its id.
   *
   * Node id spaces: items are [0, nItems); attribute nodes are offset into
   * disjoint ranges so ids never collide.
@@ -48,25 +49,23 @@ object KGGenerator {
   /** Shops an item of a 6-type KG is sold at (no meta-graph reads SOLD_AT). */
   val NShops: Int = 10
 
-  /** Zipf-ish draw over [0, n): rank r with probability ∝ 1/(r+1)^alpha. */
-  private def zipfDraw(rnd: Random, n: Int, alpha: Double): Int = {
-    // inverse-CDF on the unnormalized weights; n is small so linear scan is fine
-    val weights = zipfWeights(n, alpha)
-    val u = rnd.nextDouble() * weights.last
+  /** Cumulative Zipf-ish weights over [0, n): rank r weighs 1/(r+1)^alpha. */
+  private def zipfWeights(n: Int, alpha: Double): Array[Double] = {
+    val w = new Array[Double](n)
+    var acc = 0.0
     var i = 0
-    while (i < n - 1 && weights(i) < u) i += 1
-    i
+    while (i < n) { acc += 1.0 / math.pow(i + 1, alpha); w(i) = acc; i += 1 }
+    w
   }
 
-  private val weightCache = scala.collection.mutable.HashMap.empty[(Int, Double), Array[Double]]
-  private def zipfWeights(n: Int, alpha: Double): Array[Double] = synchronized {
-    weightCache.getOrElseUpdate((n, alpha), {
-      val w = new Array[Double](n)
-      var acc = 0.0
-      var i = 0
-      while (i < n) { acc += 1.0 / math.pow(i + 1, alpha); w(i) = acc; i += 1 }
-      w
-    })
+  /** Zipf-ish draw of a rank by inverse CDF on the cumulative `weights`
+    * (n is small, so a linear scan is fine).
+    */
+  private def zipfDraw(rnd: Random, weights: Array[Double]): Int = {
+    val u = rnd.nextDouble() * weights.last
+    var i = 0
+    while (i < weights.length - 1 && weights(i) < u) i += 1
+    i
   }
 
   /** Generate the raw typed edge list (driver-side; the KG at lite scale is
@@ -74,14 +73,17 @@ object KGGenerator {
     */
   def edgeList(spec: KGSpec): Vector[(Long, Long, String)] = {
     val rnd = new Random(spec.seed)
+    val catWeights = zipfWeights(spec.nCategories, 1.1)
+    val brandWeights = zipfWeights(spec.nBrands, 1.0)
+    val headTagWeights = zipfWeights(math.max(2, spec.nTags / 4), 1.3)
     val b = Vector.newBuilder[(Long, Long, String)]
     var x = 0
     while (x < spec.nItems) {
       val item = x.toLong
-      val cat = zipfDraw(rnd, spec.nCategories, 1.1)
+      val cat = zipfDraw(rnd, catWeights)
       b += ((item, CategoryBase + cat, KGSchema.BelongsTo))
       if (spec.sixType) {
-        val brand = zipfDraw(rnd, spec.nBrands, 1.0)
+        val brand = zipfDraw(rnd, brandWeights)
         b += ((item, BrandBase + brand, KGSchema.ProducedBy))
         var f = 0
         val seen = scala.collection.mutable.HashSet.empty[Int]
@@ -104,7 +106,7 @@ object KGGenerator {
       while (tIdx < spec.tagsPerItem) {
         // high tagAffinity concentrates draws on few head tags => heavy sharing
         val tag =
-          if (rnd.nextDouble() < spec.tagAffinity) zipfDraw(rnd, math.max(2, spec.nTags / 4), 1.3)
+          if (rnd.nextDouble() < spec.tagAffinity) zipfDraw(rnd, headTagWeights)
           else rnd.nextInt(spec.nTags)
         if (seenTags.add(tag)) b += ((item, TagBase + tag, KGSchema.HasTag))
         tIdx += 1
@@ -124,18 +126,6 @@ object KGGenerator {
   def edges(spark: SparkSession, spec: KGSpec): DataFrame = {
     import spark.implicits._
     edgeList(spec).toDF("src", "dst", "etype")
-  }
-
-  /** Node DataFrame `nodes(id, ntype)` derived from the edge endpoints. */
-  def nodes(spark: SparkSession, spec: KGSpec): DataFrame = {
-    import spark.implicits._
-    val typed = edgeList(spec)
-      .flatMap { case (s, d, _) => Seq(s, d) }
-      .distinct
-      .map(id => (id, typeOf(id)))
-    // items with no edges still exist as nodes
-    val items = (0L until spec.nItems.toLong).map(i => (i, KGSchema.Item))
-    (typed ++ items).distinct.toDF("id", "ntype")
   }
 
   /** Node type from the id range. */

@@ -26,10 +26,4 @@ object KGSchema {
   val HasTag     = "HAS_TAG"     // item -> tag
   val SoldAt     = "SOLD_AT"     // item -> shop
   val CatTag     = "CAT_TAG"     // category -> tag
-
-  /** Columns of the node DataFrame. */
-  val NodeCols: Seq[String] = Seq("id", "ntype")
-
-  /** Columns of the edge DataFrame. */
-  val EdgeCols: Seq[String] = Seq("src", "dst", "etype")
 }

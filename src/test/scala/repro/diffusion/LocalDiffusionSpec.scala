@@ -98,6 +98,19 @@ class LocalDiffusionSpec extends AnyFunSuite {
       val s2 = LocalDiffusion.sigma(inst, Seq(Seed(0, 0, 1), Seed(3, 1, 1)))
       assert(s2 >= s1 - 1e-9, s"seed=$seed: $s2 < $s1")
     }
+    // frozen σ (TMI's f, which CELF treats as monotone) on random groups
+    for (seed <- 1L to 24L; t <- Seq(1, 3)) {
+      val rnd = new Random(seed * 13 + t)
+      val inst = TestInstances.random(seed, nUsers = 10 + rnd.nextInt(15), nItems = 2 + rnd.nextInt(5), nEdges = 50)
+        .withParams(Params().frozen).withT(t)
+      def pick() = Seed(rnd.nextInt(inst.nUsers), rnd.nextInt(inst.nItems), 1 + rnd.nextInt(t))
+      for (_ <- 1 to 5) {
+        val s = Seq.fill(1 + rnd.nextInt(3))(pick())
+        val s1 = LocalDiffusion.sigma(inst, s)
+        val s2 = LocalDiffusion.sigma(inst, s :+ pick())
+        assert(s2 >= s1, s"frozen seed=$seed T=$t: $s2 < $s1")
+      }
+    }
   }
 
   test("sigma weights adoptions by item importance") {

@@ -2,7 +2,7 @@ package repro.dynamics
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
-import repro.core.{Params, RelKind}
+import repro.core.{Params, ProblemInstance, RelKind}
 
 class DynamicsSpec extends AnyFunSuite {
   private val eps = 1e-12
@@ -52,11 +52,44 @@ class DynamicsSpec extends AnyFunSuite {
   }
 
   test("weight update with zero eta returns the uniform prior") {
+    // bit for bit: LocalDiffusion leaves the weightings alone under η = 0
+    import java.lang.Double.{doubleToRawLongBits => bits}
+    def assertPrior(fi: ProblemInstance, a: Array[Double], clue: String): Unit = {
+      val w = new Array[Double](fi.nMeta)
+      Dynamics.updateUserWeights(fi, a, w)
+      assert(w.map(bits).toSeq == Dynamics.initUserWeights(fi).map(bits).toSeq, clue)
+    }
     val fi = inst.withParams(inst.params.frozen)
-    val a = Array(1.0, 1.0, 1.0)
-    val w = new Array[Double](3)
-    Dynamics.updateUserWeights(fi, a, w)
-    assert(math.abs(w(0) - 0.5) < eps && math.abs(w(1) - 0.5) < eps && math.abs(w(2) - 1.0) < eps)
+    assertPrior(fi, Array(1.0, 1.0, 1.0), "hand instance")
+    assert(Dynamics.initUserWeights(fi).toSeq == Seq(0.5, 0.5, 1.0))
+    for (seed <- 1L to 24L) {
+      val rnd = new scala.util.Random(seed)
+      val r = TestInstances.random(seed, nUsers = 4, nItems = 1 + rnd.nextInt(12))
+      val fr = r.withParams(r.params.copy(eta = 0.0))
+      for (k <- 1 to 5)
+        assertPrior(fr, Array.fill(r.nItems)(if (rnd.nextBoolean()) 0.0 else rnd.nextDouble()), s"seed=$seed row=$k")
+    }
+  }
+
+  test("assocCap is min(1, 1/Σ_c w_c·Σ_y s(x,y|c)) over the C meta-graphs") {
+    val rnd = new scala.util.Random(11)
+    for (seed <- 1L to 30L) {
+      val r = TestInstances.random(seed, nUsers = 2, nItems = 2 + rnd.nextInt(10))
+      val cMeta = r.cMeta.toArray
+      val cNbrs = cMeta.map(r.metaNbrs)
+      for (k <- 1 to 10) {
+        // zero weights, tiny weights (row sums <= 1) and large ones
+        val scale = Seq(0.01, 1.0, 5.0)(k % 3)
+        val w = Array.fill(r.nMeta)(if (rnd.nextInt(4) == 0) 0.0 else scale * rnd.nextDouble())
+        for (x <- 0 until r.nItems) {
+          val rowSum = cMeta.map(c => w(c) * r.metaS(c)(x).sum).sum
+          val expected = math.min(1.0, 1.0 / rowSum)
+          val got = Dynamics.assocCap(w, cMeta, cNbrs, x)
+          assert(math.abs(got - expected) <= 1e-12 * expected, s"seed=$seed x=$x: $got vs $expected")
+          if (rowSum <= 1.0) assert(got == 1.0)
+        }
+      }
+    }
   }
 
   test("rC and rS are the weighted sums of class matrices") {

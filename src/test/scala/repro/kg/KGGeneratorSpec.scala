@@ -57,14 +57,6 @@ class KGGeneratorSpec extends SparkSpec {
     assert(collected.sorted == KGGenerator.edgeList(spec3).sorted)
   }
 
-  test("nodes DataFrame covers all items and has typed attribute nodes") {
-    val nodes = KGGenerator.nodes(spark, spec3).collect().map(r => (r.getLong(0), r.getString(1)))
-    val items = nodes.filter(_._2 == KGSchema.Item).map(_._1).toSet
-    assert((0L until spec3.nItems.toLong).toSet.subsetOf(items))
-    assert(nodes.exists(_._2 == KGSchema.Tag))
-    assert(nodes.exists(_._2 == KGSchema.Category))
-  }
-
   test("high tag affinity yields more shared tags than low affinity") {
     def sharedPairs(aff: Double): Int = {
       val edges = KGGenerator.edgeList(spec3.copy(tagAffinity = aff, seed = 9L))
