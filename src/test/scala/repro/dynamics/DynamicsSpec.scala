@@ -65,8 +65,10 @@ class DynamicsSpec extends AnyFunSuite {
     for (seed <- 1L to 24L) {
       val rnd = new scala.util.Random(seed)
       val r = TestInstances.random(seed, nUsers = 4, nItems = 1 + rnd.nextInt(12))
-      val fr = r.withParams(r.params.copy(eta = 0.0))
-      for (k <- 1 to 5)
+      // the draw's classes have 2 and 1 members; a 3-member class also
+      // needs the sum of W0s to be exact
+      val allC = r.copy(metaKinds = r.metaKinds.map(_ => RelKind.Complementary))
+      for (fr <- Seq(r, allC).map(i => i.withParams(i.params.copy(eta = 0.0))); k <- 1 to 5)
         assertPrior(fr, Array.fill(r.nItems)(if (rnd.nextBoolean()) 0.0 else rnd.nextDouble()), s"seed=$seed row=$k")
     }
   }
