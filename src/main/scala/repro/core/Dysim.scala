@@ -16,17 +16,21 @@ import repro.diffusion.DiffusionResult
   */
 object Dysim {
 
-  /** What a run did. `marketCampaigns` counts the masked market campaigns
-    * it simulated, one per market plus `siCandidates`, the candidates
-    * TDSI scored by SI.
+  /** What a run did. `siCandidates` counts the candidates TDSI scored by
+    * SI, each one masked market campaign.
     */
   final case class Trace(
       nominees: Vector[Nominee],
       markets: Vector[TargetMarket],
       groups: Vector[Vector[TargetMarket]],
       seeds: Vector[Seed],
-      marketCampaigns: Int,
-      siCandidates: Int)
+      siCandidates: Int) {
+
+    /** The masked market campaigns the run simulated: one per market, when
+      * it starts, plus one per SI candidate.
+      */
+    def marketCampaigns: Int = markets.size + siCandidates
+  }
 
   def run(inst: ProblemInstance, cfg: TMI.Config = TMI.Config()): Vector[Seed] =
     runTraced(inst, cfg).seeds
@@ -39,7 +43,6 @@ object Dysim {
     val groups = TMI.groupAndPrioritize(inst, markets, cfg)
 
     val s = scala.collection.mutable.ArrayBuffer.empty[Seed]
-    var marketCampaigns = 0
     var siCandidates = 0
     groups.foreach { group =>
       val totalNominees = math.max(1, group.iterator.map(_.nominees.length).sum)
@@ -49,7 +52,6 @@ object Dysim {
         val tTauK = math.max(1, math.round(market.nominees.length.toDouble * inst.T / totalNominees).toInt)
         val marketMask = market.mask(inst.nUsers)
         var campaign = TDSI.marketCampaign(inst, s.toSeq, marketMask)
-        marketCampaigns += 1
         val marketSeeds = scala.collection.mutable.ArrayBuffer.empty[Seed]
         var itemsLeft = market.items
         while (itemsLeft.nonEmpty) {
@@ -67,13 +69,12 @@ object Dysim {
           val timed = TDSI.timings(inst, s, prevMarketSeeds, tTauK, np, marketMask, campaign)
           campaign = timed.campaign
           siCandidates += timed.candidates
-          marketCampaigns += timed.candidates
           marketSeeds ++= timed.seeds
         }
         prevMarketSeeds = marketSeeds.toSeq
       }
     }
-    Trace(nominees, markets, groups, s.toVector, marketCampaigns, siCandidates)
+    Trace(nominees, markets, groups, s.toVector, siCandidates)
   }
 
   /** Average relevance over the market's users *after the promotion of the

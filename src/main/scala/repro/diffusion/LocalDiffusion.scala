@@ -51,9 +51,6 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *    from [[start]] on (`DynamicsSpec` pins this). `Params`
   *    requires the rates to be finite and non-negative, so 0·x is ±0 and
   *    adding it changes nothing;
-  *  - sparse similarity: each user's adopted items are kept in ascending
-  *    order and ⟨a_u, a_v⟩ is summed over the shorter list in that order
-  *    ([[repro.dynamics.Dynamics.sparseSim]]); every skipped term is +0;
   *  - per-step state lives in reused primitive buffers. Each user's deltas
   *    within a step depend only on last step's state and its own row, so a
   *    receiver's deltas are applied as soon as they are computed; every other
@@ -85,8 +82,8 @@ object LocalDiffusion {
   }
 
   /** The whole state of a campaign at the start of round `t`: adoptions
-    * `a`, weightings `w`, per-user adoption mass `sumA`, the ascending
-    * adopted-item lists and the steps run so far. At a round boundary the
+    * `a`, weightings `w`, per-user adoption mass `sumA` and the steps run so
+    * far. At a round boundary the
     * step buffers are empty and the frontier is rebuilt from `a`, so
     * nothing else is needed to resume. The arrays are private copies;
     * [[resume]] never writes them. `prefix` (the seeds of rounds < t),
@@ -100,14 +97,10 @@ object LocalDiffusion {
       private[LocalDiffusion] val a: Array[Array[Double]],
       private[LocalDiffusion] val w: Array[Array[Double]],
       private[LocalDiffusion] val sumA: Array[Double],
-      private[LocalDiffusion] val support: Array[Array[Int]],
-      private[LocalDiffusion] val supportLen: Array[Int],
       private[LocalDiffusion] val steps: Int) {
 
-    private[LocalDiffusion] def copy(): RoundState = new RoundState(
-      t, inst, prefix, mask, a.map(_.clone()), w.map(_.clone()), sumA.clone(),
-      if (support == null) null else support.map(r => if (r == null) null else r.clone()),
-      supportLen.clone(), steps)
+    private[LocalDiffusion] def copy(): RoundState =
+      new RoundState(t, inst, prefix, mask, a.map(_.clone()), w.map(_.clone()), sumA.clone(), steps)
   }
 
   /** The state before round 1: nothing adopted, initial weightings. */
@@ -117,8 +110,7 @@ object LocalDiffusion {
     new RoundState(
       1, inst, Set.empty, mask.map(_.clone()).orNull,
       Array.fill(inst.nUsers)(new Array[Double](inst.nItems)), Array.fill(inst.nUsers)(w0.clone()),
-      new Array[Double](inst.nUsers), if (inst.params.gamma != 0.0) new Array[Array[Int]](inst.nUsers) else null,
-      new Array[Int](inst.nUsers), 0)
+      new Array[Double](inst.nUsers), 0)
   }
 
   private def requireUserMask(inst: ProblemInstance, mask: Option[Array[Boolean]], name: String): Unit =
@@ -169,11 +161,6 @@ object LocalDiffusion {
     val usePref = p.beta != 0.0
     val useW = p.eta != 0.0
 
-    // ascending adopted-item lists, for the sparse similarity (null
-    // without it)
-    val support = st.support
-    val supportLen = st.supportLen
-
     // applies the raw deltas of user v (zeroing `raw`), records them in
     // `out` and returns the largest one
     def applyRow(v: Int, raw: Array[Double], out: Deltas): Double = {
@@ -187,14 +174,6 @@ object LocalDiffusion {
         if (r > 0.0) {
           val d = math.min(r, 1.0 - av(x))
           if (d > 0.0) {
-            if (useSim && av(x) == 0.0) {
-              if (support(v) == null) support(v) = new Array[Int](nI)
-              val sv = support(v)
-              var k = supportLen(v)
-              while (k > 0 && sv(k - 1) > x) { sv(k) = sv(k - 1); k -= 1 }
-              sv(k) = x
-              supportLen(v) += 1
-            }
             av(x) += d
             sumA(v) += d
             out.add(v, x, d)
@@ -224,7 +203,7 @@ object LocalDiffusion {
     var t = st.t
     while (t <= inst.T) {
       if (record && t > st.t)
-        recorded += new RoundState(t, inst, seeds.iterator.filter(_.t < t).toSet, mk, a, w, sumA, support, supportLen, totalSteps).copy()
+        recorded += new RoundState(t, inst, seeds.iterator.filter(_.t < t).toSet, mk, a, w, sumA, totalSteps).copy()
       // ζ_t = 0: seed adoptions
       next.clear()
       var seedMax = 0.0
@@ -272,10 +251,7 @@ object LocalDiffusion {
               val u = nbrs(i)
               val len = last.len(u)
               if (len > 0 && active(u)) {
-                val similarity =
-                  if (!useSim) 0.0
-                  else if (supportLen(u) <= supportLen(v)) Dynamics.sparseSim(support(u), supportLen(u), a(u), a(v), sumA(u), sumA(v))
-                  else Dynamics.sparseSim(support(v), supportLen(v), a(u), a(v), sumA(u), sumA(v))
+                val similarity = if (useSim) Dynamics.sim(a(u), a(v), sumA(u), sumA(v)) else 0.0
                 val actUV = Dynamics.act(inst, inst.inAct(v)(i), similarity)
                 if (np == null) {
                   if (notProm(v) == null) notProm(v) = new Array[Double](nI)
@@ -394,8 +370,9 @@ object LocalDiffusion {
 
   /** Future-adoption likelihood π (Eq. 7) of the end state:
     * Σ_v Σ_y (1−a(v,y)) · AIS(v,y) · P_pref(v,y), with the IC form of AIS
-    * (footnote 22) evaluated mean-field. Each arc's P_act is computed once
-    * (it does not depend on y), and the zero-rate paths of [[run]] apply.
+    * (footnote 22) evaluated mean-field. Each arc's P_act is computed once,
+    * before the item loop (it does not depend on y), and the zero-rate paths
+    * of [[run]] apply.
     */
   def pi(inst: ProblemInstance, res: DiffusionResult, countMask: Option[Array[Boolean]] = None): Double = {
     requireUserMask(inst, countMask, "countMask")
@@ -410,8 +387,9 @@ object LocalDiffusion {
         val av = res.a(v)
         val contrib = if (usePref) Dynamics.prefContrib(inst, res.w(v), av) else null
         val nbrs = inst.inNbr(v)
-        val act = new Array[Double](nbrs.length)
-        java.util.Arrays.fill(act, Double.NaN) // filled on first use
+        val act = Array.tabulate(nbrs.length) { i =>
+          Dynamics.act(inst, inst.inAct(v)(i), if (useSim) Dynamics.sim(res.a(nbrs(i)), av, sumA(nbrs(i)), sumA(v)) else 0.0)
+        }
         var y = 0
         while (y < inst.nItems) {
           val remain = 1.0 - av(y)
@@ -420,13 +398,7 @@ object LocalDiffusion {
             var i = 0
             while (i < nbrs.length) {
               val au = res.a(nbrs(i))
-              if (au(y) > 0.0) {
-                if (act(i).isNaN) {
-                  val similarity = if (useSim) Dynamics.sim(au, av, sumA(nbrs(i)), sumA(v)) else 0.0
-                  act(i) = Dynamics.act(inst, inst.inAct(v)(i), similarity)
-                }
-                not *= (1.0 - au(y) * act(i))
-              }
+              if (au(y) > 0.0) not *= (1.0 - au(y) * act(i))
               i += 1
             }
             val ais = 1.0 - not

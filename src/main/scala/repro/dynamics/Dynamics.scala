@@ -151,22 +151,6 @@ object Dynamics {
     var dot = 0.0
     var i = 0
     while (i < aU.length) { dot += aU(i) * aV(i); i += 1 }
-    jaccard(dot, sumU, sumV)
-  }
-
-  /** [[sim]] with the dot product summed only over `support(0 until len)`,
-    * the ascending indices at which `aU` (or `aV`) is non-zero. Bit-identical
-    * to [[sim]] on non-negative vectors: every skipped term is `+0.0`, and the
-    * kept terms are added in the same ascending order.
-    */
-  def sparseSim(support: Array[Int], len: Int, aU: Array[Double], aV: Array[Double], sumU: Double, sumV: Double): Double = {
-    var dot = 0.0
-    var k = 0
-    while (k < len) { val i = support(k); dot += aU(i) * aV(i); k += 1 }
-    jaccard(dot, sumU, sumV)
-  }
-
-  private def jaccard(dot: Double, sumU: Double, sumV: Double): Double = {
     val denom = sumU + sumV - dot + 1e-9
     if (denom <= 0.0) 0.0 else dot / denom
   }

@@ -61,6 +61,26 @@ class RandomInvariantsSpec extends AnyFunSuite {
     }
   }
 
+  test("OPT over its pool dominates each algorithm's seeds restricted to that pool") {
+    val k = 2
+    val compared = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for (seed <- 1L to 6L) {
+      val inst = draw(seed, 3)
+      val pool = OptBruteForce.defaultPool(inst, poolSize = 6)
+      val (_, optSigma) = OptBruteForce.run(inst, pool, maxSeeds = k)
+      for ((name, run) <- algorithms) {
+        val inPool = run(inst).filter(s => pool.contains(s.nominee))
+        val group = inPool.foldLeft(Vector.empty[Seed]) { (g, s) =>
+          if (g.size < k && inst.withinBudget(g :+ s)) g :+ s else g
+        }
+        val sigma = LocalDiffusion.sigma(inst, group)
+        assert(optSigma >= sigma, s"$name seed=$seed: OPT $optSigma < $sigma of $group")
+        if (group.nonEmpty) compared(name) += 1
+      }
+    }
+    for ((name, _) <- algorithms) assert(compared(name) > 0, s"$name never had a seed in OPT's pool")
+  }
+
   test("a budget below every cost gives no seeds and no failure") {
     for (seed <- 1L to 5L) {
       val inst = draw(seed, 3)

@@ -173,6 +173,23 @@ class TMISpec extends AnyFunSuite {
     assert(groups.size == 2)
   }
 
+  test("groupAndPrioritize: groups tied on (nominee count, first user) keep the order of their union-find roots") {
+    // eight markets in five groups: {0, 1}, {2}, {3, 4}, {5}, {6, 7}, linked
+    // by one shared user; each group holds two nominees, all of user 0, and
+    // no item is substitutable, so every group ties on the sort key and
+    // keeps the order of its root, the group's lowest market index, in
+    // groupBy's hash map (roots 1, 2, 4, 5, 7 come out in another order)
+    val inst = TestInstances.mk(nUsers = 20, nItems = 8, edges = Seq((0, 1)))
+    val linkedTo = Map(1 -> 0, 4 -> 3, 7 -> 6)
+    val markets = (0 until 8).toVector.map { k =>
+      val users = Set(10 + k) ++ linkedTo.get(k).map(10 + _)
+      val nominees = if (Set(2, 5)(k)) Vector(Nominee(0, k), Nominee(1, k)) else Vector(Nominee(0, k))
+      TargetMarket(nominees, users, 1)
+    }
+    val groups = TMI.groupAndPrioritize(inst, markets, TMI.Config(thetaCommon = 1))
+    assert(groups.map(_.map(markets.indexOf(_))) == Vector(Vector(0, 1), Vector(5), Vector(6, 7), Vector(2), Vector(3, 4)))
+  }
+
   test("groupAndPrioritize: theta controls grouping") {
     val inst = starInst
     val m1 = TargetMarket(Vector(Nominee(0, 0)), Set(0, 1, 2), 1)
