@@ -83,9 +83,8 @@ object LocalDiffusion {
 
   /** The whole state of a campaign at the start of round `t`: adoptions
     * `a`, weightings `w`, per-user adoption mass `sumA` and the steps run so
-    * far. At a round boundary the
-    * step buffers are empty and the frontier is rebuilt from `a`, so
-    * nothing else is needed to resume. The arrays are private copies;
+    * far. At a round boundary the step buffers are empty and the frontier is
+    * rebuilt from `a`, so nothing else is needed to resume. The arrays are private copies;
     * [[resume]] never writes them. `prefix` (the seeds of rounds < t),
     * `mask` and `inst` are what the state was produced under.
     */
