@@ -34,6 +34,9 @@ object RunDysim {
       println(s"dataset=$name users=${inst.nUsers} items=${inst.nItems} budget=$budget T=$t")
       println(s"nominees=${trace.nominees.size} markets=${trace.markets.size} groups=${trace.groups.size}")
       println(s"market campaigns=${trace.marketCampaigns} SI candidates=${trace.siCandidates}")
+      def ms(ns: Long) = f"${ns / 1e6}%.1f"
+      println(s"phase ms: nominate=${ms(trace.nominateNs)} cluster=${ms(trace.clusterNs)} markets=${ms(trace.marketsNs)} " +
+        s"group=${ms(trace.groupNs)} dre=${ms(trace.dreNs)} tdsi=${ms(trace.tdsiNs)}")
       trace.seeds.sortBy(s => (s.t, s.user)).foreach { s =>
         println(f"  seed user=${s.user}%5d item=${inst.itemNames(s.item)}%10s round=${s.t}%2d cost=${inst.cost(s.user)(s.item)}%.2f")
       }

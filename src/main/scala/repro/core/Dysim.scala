@@ -17,14 +17,23 @@ import repro.diffusion.DiffusionResult
 object Dysim {
 
   /** What a run did. `siCandidates` counts the candidates TDSI scored by
-    * SI, each one masked market campaign.
+    * SI, each one masked market campaign. The `*Ns` fields are each phase's
+    * total wall time in nanoseconds: TMI's nominate, cluster, markets and
+    * group, then DRE's item picks and TDSI, which includes each market's
+    * starting campaign, the base TDSI scores against.
     */
   final case class Trace(
       nominees: Vector[Nominee],
       markets: Vector[TargetMarket],
       groups: Vector[Vector[TargetMarket]],
       seeds: Vector[Seed],
-      siCandidates: Int) {
+      siCandidates: Int,
+      nominateNs: Long,
+      clusterNs: Long,
+      marketsNs: Long,
+      groupNs: Long,
+      dreNs: Long,
+      tdsiNs: Long) {
 
     /** The masked market campaigns the run simulated: one per market, when
       * it starts, plus one per SI candidate.
@@ -36,14 +45,24 @@ object Dysim {
     runTraced(inst, cfg).seeds
 
   def runTraced(inst: ProblemInstance, cfg: TMI.Config = TMI.Config()): Trace = {
+    // lap() returns the time since the previous lap and starts the next one
+    var lapStart = System.nanoTime()
+    def lap(): Long = { val now = System.nanoTime(); val d = now - lapStart; lapStart = now; d }
+
     // ---- TMI -----------------------------------------------------------
     val nominees = TMI.selectNominees(inst, cfg)
+    val nominateNs = lap()
     val clusters = TMI.clusterNominees(inst, nominees, cfg)
+    val clusterNs = lap()
     val markets = TMI.identifyMarkets(inst, clusters, cfg)
+    val marketsNs = lap()
     val groups = TMI.groupAndPrioritize(inst, markets, cfg)
+    val groupNs = lap()
 
     val s = scala.collection.mutable.ArrayBuffer.empty[Seed]
     var siCandidates = 0
+    var dreNs = 0L
+    var tdsiNs = 0L
     groups.foreach { group =>
       val totalNominees = math.max(1, group.iterator.map(_.nominees.length).sum)
       var prevMarketSeeds: Seq[Seed] = Nil
@@ -51,7 +70,9 @@ object Dysim {
         // promotional duration T^τk ∝ |N^τk| (Sec. IV-B.3)
         val tTauK = math.max(1, math.round(market.nominees.length.toDouble * inst.T / totalNominees).toInt)
         val marketMask = market.mask(inst.nUsers)
+        lap()
         var campaign = TDSI.marketCampaign(inst, s.toSeq, marketMask)
+        tdsiNs += lap()
         val marketSeeds = scala.collection.mutable.ArrayBuffer.empty[Seed]
         var itemsLeft = market.items
         while (itemsLeft.nonEmpty) {
@@ -64,9 +85,11 @@ object Dysim {
               DRE.bestItem(rC, rS, inst.importance, market.diameter, itemsLeft)
             }
           itemsLeft -= xp
+          dreNs += lap()
           val np = market.nominees.filter(_.item == xp)
           // ---- TDSI: assign promotion rounds by SI -----------------------
           val timed = TDSI.timings(inst, s, prevMarketSeeds, tTauK, np, marketMask, campaign)
+          tdsiNs += lap()
           campaign = timed.campaign
           siCandidates += timed.candidates
           marketSeeds ++= timed.seeds
@@ -74,7 +97,7 @@ object Dysim {
         prevMarketSeeds = marketSeeds.toSeq
       }
     }
-    Trace(nominees, markets, groups, s.toVector, siCandidates)
+    Trace(nominees, markets, groups, s.toVector, siCandidates, nominateNs, clusterNs, marketsNs, groupNs, dreNs, tdsiNs)
   }
 
   /** Average relevance over the market's users *after the promotion of the

@@ -29,6 +29,10 @@ final case class DatasetConfig(
     costScale: Double = 0.02,
     prefSeed: Long = 101L,
     socialSeed: Long = 11L) {
+  require(nUsers >= 2, s"nUsers=$nUsers, need at least two users")
+  require(nEdges >= 0, s"nEdges=$nEdges is negative")
+  require(costScale > 0.0 && !costScale.isInfinite, s"costScale=$costScale must be finite and > 0")
+
   def nItems: Int = kg.nItems
 }
 

@@ -54,7 +54,10 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *  - per-step state lives in reused primitive buffers. Each user's deltas
   *    within a step depend only on last step's state and its own row, so a
   *    receiver's deltas are applied as soon as they are computed; every other
-  *    sum and product keeps the order of the dense formulation;
+  *    sum and product keeps the order of the dense formulation. A moved
+  *    user's step deltas are a dense row with 0 for each item it did not
+  *    move on; the 1 − q product multiplies that item by 1 − 0·P_act = 1
+  *    exactly;
   *  - forks: round t depends only on the state at its start and the seeds
   *    of rounds ≥ t, and that state depends only on the seeds of rounds < t
   *    and the mask. So a campaign S :+ c with c at round t, resumed
@@ -65,20 +68,20 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   */
 object LocalDiffusion {
 
-  /** Per-user (item, delta) lists of one step, in ascending item order. */
+  /** Per-user deltas of one step: `moved(v)` marks the users with a delta,
+    * and `delta(v)` holds every item's delta of a moved user, 0 where it has
+    * none. A row is allocated at its user's first delta and reused after.
+    */
   private final class Deltas(n: Int, nI: Int) {
-    val item = new Array[Array[Int]](n)
     val delta = new Array[Array[Double]](n)
-    val len = new Array[Int](n)
+    val moved = new Array[Boolean](n)
 
-    def add(v: Int, x: Int, d: Double): Unit = {
-      if (item(v) == null) { item(v) = new Array[Int](nI); delta(v) = new Array[Double](nI) }
-      item(v)(len(v)) = x
-      delta(v)(len(v)) = d
-      len(v) += 1
+    def row(v: Int): Array[Double] = {
+      if (delta(v) == null) delta(v) = new Array[Double](nI)
+      delta(v)
     }
 
-    def clear(): Unit = java.util.Arrays.fill(len, 0)
+    def clear(): Unit = java.util.Arrays.fill(moved, false)
   }
 
   /** The whole state of a campaign at the start of round `t`: adoptions
@@ -160,29 +163,27 @@ object LocalDiffusion {
     val usePref = p.beta != 0.0
     val useW = p.eta != 0.0
 
-    // applies the raw deltas of user v (zeroing `raw`), records them in
-    // `out` and returns the largest one
+    // applies the raw deltas of user v (zeroing `raw`), writes them to v's
+    // row of `out` if v moved and returns the largest one
     def applyRow(v: Int, raw: Array[Double], out: Deltas): Double = {
       val av = a(v)
+      var dv: Array[Double] = null // v's row of `out`, taken at its first delta
       var maxD = 0.0
-      var touched = false
       var x = 0
       while (x < nI) {
         val r = raw(x)
         raw(x) = 0.0
-        if (r > 0.0) {
-          val d = math.min(r, 1.0 - av(x))
-          if (d > 0.0) {
-            av(x) += d
-            sumA(v) += d
-            out.add(v, x, d)
-            if (d > maxD) maxD = d
-            touched = true
-          }
+        val d = if (r > 0.0) math.max(math.min(r, 1.0 - av(x)), 0.0) else 0.0
+        if (d > 0.0) {
+          if (dv == null) { dv = out.row(v); java.util.Arrays.fill(dv, 0, x, 0.0); out.moved(v) = true }
+          av(x) += d
+          sumA(v) += d
+          if (d > maxD) maxD = d
         }
+        if (dv != null) dv(x) = d
         x += 1
       }
-      if (touched && useW) Dynamics.updateUserWeights(inst, av, w(v))
+      if (dv != null && useW) Dynamics.updateUserWeights(inst, av, w(v))
       maxD
     }
 
@@ -225,9 +226,8 @@ object LocalDiffusion {
       var v = 0
       while (v < n) {
         if (active(v) && sumA(v) > 0.0) {
-          val av = a(v)
-          var x = 0
-          while (x < nI) { if (av(x) > 0.0) last.add(v, x, av(x)); x += 1 }
+          System.arraycopy(a(v), 0, last.row(v), 0, nI)
+          last.moved(v) = true
           frontier = true
         }
         v += 1
@@ -248,8 +248,7 @@ object LocalDiffusion {
             var i = 0
             while (i < nbrs.length) {
               val u = nbrs(i)
-              val len = last.len(u)
-              if (len > 0 && active(u)) {
+              if (last.moved(u)) {
                 val similarity = if (useSim) Dynamics.sim(a(u), a(v), sumA(u), sumA(v)) else 0.0
                 val actUV = Dynamics.act(inst, inst.inAct(v)(i), similarity)
                 if (np == null) {
@@ -259,10 +258,9 @@ object LocalDiffusion {
                   receivers(nRecv) = v
                   nRecv += 1
                 }
-                val xs = last.item(u)
-                val ds = last.delta(u)
-                var k = 0
-                while (k < len) { np(xs(k)) *= (1.0 - ds(k) * actUV); k += 1 }
+                val du = last.delta(u)
+                var x = 0
+                while (x < nI) { np(x) *= (1.0 - du(x) * actUV); x += 1 }
               }
               i += 1
             }

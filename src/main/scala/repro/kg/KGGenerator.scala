@@ -30,6 +30,15 @@ final case class KGSpec(
     tagAffinity: Double = 0.3,
     seed: Long = 7L) {
   require(nItems >= 2, "need at least two items for relevance")
+  require(nCategories >= 1, s"nCategories=$nCategories, need at least one category")
+  // the head-tag pool holds max(2, nTags/4) tag ids, which must exist
+  require(nTags >= 2, s"nTags=$nTags, need at least two tags")
+  require(!sixType || nFeatures >= 1, s"nFeatures=$nFeatures, a six-type KG needs at least one feature")
+  require(!sixType || nBrands >= 1, s"nBrands=$nBrands, a six-type KG needs at least one brand")
+  require(featuresPerItem >= 0, s"featuresPerItem=$featuresPerItem is negative")
+  require(tagsPerItem >= 0, s"tagsPerItem=$tagsPerItem is negative")
+  require(crossShare >= 0.0 && crossShare <= 1.0, s"crossShare=$crossShare is outside [0, 1]")
+  require(tagAffinity >= 0.0 && tagAffinity <= 1.0, s"tagAffinity=$tagAffinity is outside [0, 1]")
 }
 
 /** Deterministic generator of the synthetic knowledge graph as a typed

@@ -113,6 +113,16 @@ class DysimSpec extends AnyFunSuite {
     assert((trace.markets.size, trace.siCandidates, trace.marketCampaigns) == ((2, 10, 12)))
   }
 
+  test("trace's phase times are non-negative and sum to at most the run's wall time") {
+    val start = System.nanoTime()
+    val trace = Dysim.runTraced(inst, cfg)
+    val wall = System.nanoTime() - start
+    val phases = Seq(trace.nominateNs, trace.clusterNs, trace.marketsNs, trace.groupNs, trace.dreNs, trace.tdsiNs)
+    assert(phases.forall(_ >= 0L), s"phases $phases")
+    assert(phases.sum <= wall, s"phases $phases sum to ${phases.sum} ns, wall $wall ns")
+    assert(trace.tdsiNs > 0L, "every market's starting campaign is timed under TDSI")
+  }
+
   test("run equals the loop that re-simulates every campaign, in seeds and sigma bits (random instances)") {
     var multiItem = 0
     var sharedGroup = 0

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.kg.{KGGenerator, KGSchema}
+import repro.kg.{KGGenerator, KGSchema, KGSpec}
 
 class DatasetGenSpec extends AnyFunSuite {
 
@@ -49,6 +49,46 @@ class DatasetGenSpec extends AnyFunSuite {
     val half = DatasetGen.amazonLite(scale = 0.5)
     assert(half.nUsers < full.nUsers && half.nEdges < full.nEdges)
     assert(half.nItems == full.nItems, "item catalog does not scale")
+  }
+
+  // construction-time validation: one test per rejected field, each case
+  // failing in the constructor with the field's name in the message
+  private val kg6 = DatasetGen.amazonLite().kg
+  private val cfg = DatasetGen.amazonLite()
+
+  private def rejects(owner: String, field: String)(cases: (() => Any)*): Unit =
+    test(s"$owner rejects a malformed $field at construction") {
+      cases.foreach { mk =>
+        val e = intercept[IllegalArgumentException](mk())
+        assert(e.getMessage.contains(field), e.getMessage)
+      }
+    }
+
+  rejects("KGSpec", "nCategories")(() => kg6.copy(nCategories = 0), () => kg6.copy(nCategories = -1))
+  rejects("KGSpec", "nTags")(() => kg6.copy(nTags = 1), () => kg6.copy(nTags = 0))
+  rejects("KGSpec", "nFeatures")(() => kg6.copy(nFeatures = 0))
+  rejects("KGSpec", "nBrands")(() => kg6.copy(nBrands = 0))
+  rejects("KGSpec", "featuresPerItem")(() => kg6.copy(featuresPerItem = -1))
+  rejects("KGSpec", "tagsPerItem")(() => kg6.copy(tagsPerItem = -1))
+  rejects("KGSpec", "crossShare")(
+    () => kg6.copy(crossShare = -0.1), () => kg6.copy(crossShare = 1.5), () => kg6.copy(crossShare = Double.NaN))
+  rejects("KGSpec", "tagAffinity")(
+    () => kg6.copy(tagAffinity = -0.1), () => kg6.copy(tagAffinity = 1.5), () => kg6.copy(tagAffinity = Double.NaN))
+  rejects("DatasetConfig", "nUsers")(() => cfg.copy(nUsers = 1), () => cfg.copy(nUsers = 0))
+  rejects("DatasetConfig", "nEdges")(() => cfg.copy(nEdges = -1))
+  rejects("DatasetConfig", "costScale")(
+    () => cfg.copy(costScale = 0.0), () => cfg.copy(costScale = -0.1),
+    () => cfg.copy(costScale = Double.PositiveInfinity), () => cfg.copy(costScale = Double.NaN))
+
+  test("the smallest accepted KGSpec generates its edges, with every tag id in range") {
+    val smallest = Seq(
+      KGSpec(nItems = 2, nFeatures = 1, nBrands = 1, nCategories = 1, nTags = 2, crossShare = 0.0, tagAffinity = 1.0),
+      KGSpec(nItems = 2, nFeatures = 0, nBrands = 0, nCategories = 1, nTags = 2, featuresPerItem = 0,
+        tagsPerItem = 0, sixType = false, crossShare = 1.0, tagAffinity = 0.0))
+    smallest.foreach { spec =>
+      val tags = KGGenerator.edgeList(spec).collect { case (_, dst, KGSchema.HasTag | KGSchema.CatTag) => dst - KGGenerator.TagBase }
+      assert(tags.forall(t => t >= 0 && t < spec.nTags), s"$spec: tags $tags")
+    }
   }
 
   /** Count item pairs sharing at least one neighbor of the given edge type. */
