@@ -26,7 +26,7 @@ class Fig5aOptBudgetBench extends SparkSpec {
       val (optSeeds, optSigma) = OptBruteForce.run(inst, pool, maxSeeds = 4)
       val runs = contenders(inst, poolUsers = 30)
       runs.foreach(r => assert(r.sigma.isFinite && r.sigma >= 0.0))
-      Seq(f1(b), f2(optSigma)) ++ runs.map(r => if (r.timedOut) "timeout" else f2(r.sigma)) :+
+      Seq(f1(b), f2(optSigma)) ++ runs.map(_.sigmaCell(f2)) :+
         optSeeds.size.toString
     }
     val text = formatTable(

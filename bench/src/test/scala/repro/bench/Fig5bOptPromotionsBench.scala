@@ -15,13 +15,14 @@ class Fig5bOptPromotionsBench extends SparkSpec {
   import BenchHarness._
 
   test("T-5b: sigma vs number of promotions vs OPT (amazon-small)") {
-    val ts = Seq(1, 2, 3, 4)
-    val rows = ts.map { t =>
-      val inst = InstanceBuilder.build(spark, DatasetGen.amazonSmall(budget = 4.0, t = t))
+    // one build: T only sets the instance's T
+    val base = InstanceBuilder.build(spark, DatasetGen.amazonSmall(budget = 4.0))
+    val rows = Seq(1, 2, 3, 4).map { t =>
+      val inst = base.withT(t)
       val pool = OptBruteForce.defaultPool(inst, poolSize = 10)
       val (_, optSigma) = OptBruteForce.run(inst, pool, maxSeeds = 3)
       val runs = contenders(inst, poolUsers = 200)
-      Seq(t.toString, f2(optSigma)) ++ runs.map(r => if (r.timedOut) "timeout" else f2(r.sigma))
+      Seq(t.toString, f2(optSigma)) ++ runs.map(_.sigmaCell(f2))
     }
     val text = formatTable(
       "T-5b: importance-aware influence vs #promotions (amazon-small, 100 users, b=4)",

@@ -16,31 +16,19 @@ class Fig6BudgetBench extends SparkSpec {
   import BenchHarness._
 
   test("T-6abc/T-6d: sigma and time vs budget (four lite datasets)") {
-    val sigmaRows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    val timeRows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    DatasetGen.allLite(t = 5).foreach { cfg =>
-      val base = InstanceBuilder.build(spark, cfg)
-      // douban-lite is the paper's 12-hour-timeout case: tight deadline there
-      val hagTimeout = if (cfg.name == "douban-lite") 30000L else 240000L
-      // the b=40 point carries the paper's "BundleGRD fails at large b on
-      // Douban" story; the mid-size datasets stop at 20 for wall-clock
-      val budgets =
-        if (cfg.name == "douban-lite") Seq(5.0, 10.0, 20.0, 40.0)
-        else Seq(5.0, 10.0, 20.0)
-      budgets.foreach { b =>
-        val inst = base.withBudget(b)
-        val runs = contenders(inst, poolUsers = 200, hagTimeoutMs = hagTimeout)
-        println(s"[T6] ${cfg.name} b=$b: " +
-          runs.map(r => s"${r.name}=${if (r.timedOut) "timeout" else f1(r.sigma)}(${r.millis}ms)").mkString(" "))
-        sigmaRows += (Seq(cfg.name, f1(b)) ++ runs.map(r => if (r.timedOut) "timeout" else f1(r.sigma)))
-        timeRows += (Seq(cfg.name, f1(b)) ++ runs.map(r => if (r.timedOut) "timeout" else r.millis.toString))
-        runs.foreach(r => assert(r.timedOut || (r.sigma.isFinite && r.sigma >= 0.0), s"${cfg.name} b=$b ${r.name}"))
-      }
-    }
-    val names = Seq("dataset", "budget", "Dysim", "BundleGRD", "HAG", "PS")
-    report("T6abc.txt", formatTable(
-      "T-6abc: importance-aware influence vs budget (lite datasets, T=5)", names, sigmaRows.toSeq))
-    report("T6d.txt", formatTable(
-      "T-6d: execution time (ms) vs budget (lite datasets, T=5)", names, timeRows.toSeq))
+    sigmaTimeSweep("budget",
+      "T6abc.txt" -> "T-6abc: importance-aware influence vs budget (lite datasets, T=5)",
+      "T6d.txt" -> "T-6d: execution time (ms) vs budget (lite datasets, T=5)")(
+      DatasetGen.allLite(t = 5).iterator.flatMap { cfg =>
+        val base = InstanceBuilder.build(spark, cfg)
+        // douban-lite is the paper's 12-hour-timeout case: tight deadline there
+        val hagTimeout = if (cfg.name == "douban-lite") 30000L else 240000L
+        // the b=40 point carries the paper's "BundleGRD fails at large b on
+        // Douban" story; the mid-size datasets stop at 20 for wall-clock
+        val budgets =
+          if (cfg.name == "douban-lite") Seq(5.0, 10.0, 20.0, 40.0)
+          else Seq(5.0, 10.0, 20.0)
+        budgets.map(b => Point(cfg.name, f1(b), base.withBudget(b), hagTimeout))
+      })
   }
 }

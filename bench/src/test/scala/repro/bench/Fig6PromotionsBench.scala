@@ -16,26 +16,15 @@ class Fig6PromotionsBench extends SparkSpec {
   import BenchHarness._
 
   test("T-6ef/T-6g: sigma and time vs #promotions (amazon-lite, douban-lite)") {
-    val sigmaRows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    val timeRows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    Seq(DatasetGen.amazonLite(budget = 10.0), DatasetGen.doubanLite(budget = 10.0)).foreach { cfg0 =>
-      // T sweep capped at 10 for wall-clock (the growth-vs-plateau contrast
-      // is established well before the paper's T=40 tail)
-      val ts = Seq(1, 2, 5, 10)
-      ts.foreach { t =>
-        val cfg = cfg0.copy(T = t)
-        val inst = InstanceBuilder.build(spark, cfg)
-        val runs = contenders(inst, poolUsers = 200, hagTimeoutMs = 240000L)
-        println(s"[T6] ${cfg.name} T=$t: " +
-          runs.map(r => s"${r.name}=${if (r.timedOut) "timeout" else f1(r.sigma)}(${r.millis}ms)").mkString(" "))
-        sigmaRows += (Seq(cfg.name, t.toString) ++ runs.map(r => if (r.timedOut) "timeout" else f1(r.sigma)))
-        timeRows += (Seq(cfg.name, t.toString) ++ runs.map(r => if (r.timedOut) "timeout" else r.millis.toString))
-      }
-    }
-    val names = Seq("dataset", "T", "Dysim", "BundleGRD", "HAG", "PS")
-    report("T6ef.txt", formatTable(
-      "T-6ef: importance-aware influence vs #promotions (b=10)", names, sigmaRows.toSeq))
-    report("T6g.txt", formatTable(
-      "T-6g: execution time (ms) vs #promotions (b=10)", names, timeRows.toSeq))
+    sigmaTimeSweep("T",
+      "T6ef.txt" -> "T-6ef: importance-aware influence vs #promotions (b=10)",
+      "T6g.txt" -> "T-6g: execution time (ms) vs #promotions (b=10)")(
+      Seq(DatasetGen.amazonLite(budget = 10.0), DatasetGen.doubanLite(budget = 10.0)).iterator.flatMap { cfg =>
+        // one build per dataset: T only sets the instance's T
+        val base = InstanceBuilder.build(spark, cfg)
+        // T sweep capped at 10 for wall-clock (the growth-vs-plateau contrast
+        // is established well before the paper's T=40 tail)
+        Seq(1, 2, 5, 10).map(t => Point(cfg.name, t.toString, base.withT(t), 240000L))
+      })
   }
 }

@@ -1,9 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Dysim, TMI}
+import repro.core.TMI
 import repro.data.{DatasetGen, InstanceBuilder}
-import repro.diffusion.LocalDiffusion
 import repro.kg.MetaGraph
 
 /** Table T-7a (paper Fig. 7(a)): sensitivity of Dysim's influence to the
@@ -21,9 +20,8 @@ class Fig7aMetaGraphBench extends SparkSpec {
     val interleaved = Vector(six(0), six(3), six(1), six(4), six(2), six(5))
     val rows = (1 to 6).map { k =>
       val cfg = DatasetGen.amazonLite(budget = 10.0, t = 5).copy(metaGraphs = interleaved.take(k))
-      val inst = InstanceBuilder.build(spark, cfg)
-      val seeds = Dysim.run(inst, TMI.Config(maxCandidates = 200))
-      Seq(k.toString, f1(LocalDiffusion.sigma(inst, seeds)), seeds.size.toString)
+      val r = dysim(InstanceBuilder.build(spark, cfg), TMI.Config(maxCandidates = 200))
+      Seq(k.toString, f1(r.sigma), r.nSeeds.toString)
     }
     report("T7a.txt", formatTable(
       "T-7a: Dysim influence vs #meta-graphs (amazon-lite, b=10, T=5)",

@@ -1,9 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Dysim, TMI}
+import repro.core.TMI
 import repro.data.{DatasetGen, InstanceBuilder}
-import repro.diffusion.LocalDiffusion
 
 /** Table T-7b (paper Fig. 7(b)): sensitivity of Dysim's influence to the
   * common-user threshold θ of TMI.
@@ -19,8 +18,8 @@ class Fig7bThetaBench extends SparkSpec {
     val inst = InstanceBuilder.build(spark, DatasetGen.amazonLite(budget = 10.0, t = 5))
     val thetas = Seq(1, 2, 4, 8, 16)
     val rows = thetas.map { th =>
-      val seeds = Dysim.run(inst, TMI.Config(maxCandidates = 200, thetaCommon = th))
-      Seq(th.toString, f1(LocalDiffusion.sigma(inst, seeds)), seeds.size.toString)
+      val r = dysim(inst, TMI.Config(maxCandidates = 200, thetaCommon = th))
+      Seq(th.toString, f1(r.sigma), r.nSeeds.toString)
     }
     report("T7b.txt", formatTable(
       "T-7b: Dysim influence vs theta (amazon-lite, b=10, T=5)",

@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.data.DatasetGen
 import repro.kg.{KGGenerator, RelevanceEngine}
 
 /** spark-submit entrypoint: generate a lite dataset's KG, build every
@@ -16,7 +17,7 @@ object BuildRelevance {
     val spark = SparkSession.builder().appName(s"relevance-$name").master(
       sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
-      val cfg = RunDysim.dataset(name, 10.0, 5)
+      val cfg = DatasetGen.byName(name, 10.0, 5)
       val edges = KGGenerator.edges(spark, cfg.kg)
       println(s"KG edges: ${edges.count()} of types ${edges.select("etype").distinct().collect().map(_.getString(0)).sorted.mkString(", ")}")
       val mats = RelevanceEngine.collectMatrices(edges, cfg.metaGraphs, cfg.nItems)

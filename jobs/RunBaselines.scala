@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BundleGRD, HAG, PS}
 import repro.core.{Dysim, TMI}
-import repro.data.InstanceBuilder
+import repro.data.{DatasetGen, InstanceBuilder}
 import repro.diffusion.LocalDiffusion
 
 /** spark-submit entrypoint: run Dysim and the three baselines on one lite
@@ -19,7 +19,7 @@ object RunBaselines {
     val spark = SparkSession.builder().appName(s"baselines-$name").master(
       sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
-      val inst = InstanceBuilder.build(spark, RunDysim.dataset(name, budget, t))
+      val inst = InstanceBuilder.build(spark, DatasetGen.byName(name, budget, t))
       def show(algo: String, seeds: Option[Vector[repro.core.Seed]]): Unit = seeds match {
         case Some(ss) => println(f"$algo%10s: sigma=${LocalDiffusion.sigma(inst, ss)}%8.2f seeds=${ss.size}")
         case None     => println(f"$algo%10s: timeout")

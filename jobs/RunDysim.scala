@@ -13,15 +13,6 @@ import repro.diffusion.LocalDiffusion
   */
 object RunDysim {
 
-  def dataset(name: String, budget: Double, t: Int): repro.data.DatasetConfig = name match {
-    case "amazon-small" => DatasetGen.amazonSmall(budget, t)
-    case "amazon-lite"  => DatasetGen.amazonLite(budget, t)
-    case "yelp-lite"    => DatasetGen.yelpLite(budget, t)
-    case "douban-lite"  => DatasetGen.doubanLite(budget, t)
-    case "gowalla-lite" => DatasetGen.gowallaLite(budget, t)
-    case other          => throw new IllegalArgumentException(s"unknown dataset: $other")
-  }
-
   def main(args: Array[String]): Unit = {
     val name = args.lift(0).getOrElse("amazon-lite")
     val budget = args.lift(1).map(_.toDouble).getOrElse(10.0)
@@ -29,7 +20,7 @@ object RunDysim {
     val spark = SparkSession.builder().appName(s"dysim-$name").master(
       sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
-      val inst = InstanceBuilder.build(spark, dataset(name, budget, t))
+      val inst = InstanceBuilder.build(spark, DatasetGen.byName(name, budget, t))
       val trace = Dysim.runTraced(inst, TMI.Config(maxCandidates = 200))
       println(s"dataset=$name users=${inst.nUsers} items=${inst.nItems} budget=$budget T=$t")
       println(s"nominees=${trace.nominees.size} markets=${trace.markets.size} groups=${trace.groups.size}")

@@ -105,14 +105,13 @@ object TMI {
       set => f(set),
       bound = bound,
       single = single)
-    // standard knapsack correction behind Theorem 2's (1 − 1/√e) factor
-    val affordable = pool.filter(n => ProblemInstance.fits(inst.cost(n.user)(n.item), inst.budget))
-    if (affordable.isEmpty) greedy
+    // standard knapsack correction behind Theorem 2's (1 − 1/√e) factor (every pool pair is affordable)
+    if (pool.isEmpty) greedy
     else {
       // the best singleton by (f({n}), −user, −item) is among the pairs
       // whose bound reaches the best exact value: visit them by descending
       // bound and stop at the first bound below it
-      val byBound = affordable.sortBy(n => -bound(n))
+      val byBound = pool.sortBy(n => -bound(n))
       var reach = 0
       var top = Double.NegativeInfinity
       while (reach < byBound.length && bound(byBound(reach)) >= top) {

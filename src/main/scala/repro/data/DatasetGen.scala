@@ -40,66 +40,59 @@ object DatasetGen {
     costScale = 0.6,
     socialSeed = 31L)
 
-  def amazonLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
-    name = "amazon-lite",
-    nUsers = math.max(50, (800 * scale).toInt),
-    nEdges = math.max(200, (6400 * scale).toInt),
-    kg = KGSpec(nItems = 30, nFeatures = 40, nBrands = 12, nCategories = 8, nTags = 30,
-      featuresPerItem = 4, tagsPerItem = 3, sixType = true, crossShare = 0.5, seed = 41L),
-    metaGraphs = MetaGraph.sixTypeSet,
-    importanceMode = ImportanceMode.Price,
+  /** A lite family: at least 50 users and 200 edges at any scale, the
+    * meta-graph set of the KG's type shape, [[liteParams]] and cost scale
+    * 0.1.
+    */
+  private def lite(name: String, users: Int, edges: Int, kg: KGSpec, importanceMode: ImportanceMode,
+      socialSeed: Long)(budget: Double, t: Int, scale: Double): DatasetConfig = DatasetConfig(
+    name = name,
+    nUsers = math.max(50, (users * scale).toInt),
+    nEdges = math.max(200, (edges * scale).toInt),
+    kg = kg,
+    metaGraphs = if (kg.sixType) MetaGraph.sixTypeSet else MetaGraph.threeTypeSet,
+    importanceMode = importanceMode,
     budget = budget,
     T = t,
     params = liteParams,
     costScale = 0.1,
-    socialSeed = 51L)
+    socialSeed = socialSeed)
 
-  def yelpLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
-    name = "yelp-lite",
-    nUsers = math.max(50, (600 * scale).toInt),
-    nEdges = math.max(200, (4800 * scale).toInt),
-    kg = KGSpec(nItems = 24, nFeatures = 32, nBrands = 10, nCategories = 6, nTags = 24,
-      featuresPerItem = 4, tagsPerItem = 3, sixType = true, crossShare = 0.45, seed = 61L),
-    metaGraphs = MetaGraph.sixTypeSet,
-    importanceMode = ImportanceMode.Price,
-    budget = budget,
-    T = t,
-    params = liteParams,
-    costScale = 0.1,
-    socialSeed = 71L)
+  def amazonLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig =
+    lite("amazon-lite", 800, 6400,
+      KGSpec(nItems = 30, nFeatures = 40, nBrands = 12, nCategories = 8, nTags = 30,
+        featuresPerItem = 4, tagsPerItem = 3, sixType = true, crossShare = 0.5, seed = 41L),
+      ImportanceMode.Price, socialSeed = 51L)(budget, t, scale)
 
-  def doubanLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
-    name = "douban-lite",
-    nUsers = math.max(50, (1400 * scale).toInt),
-    nEdges = math.max(200, (11000 * scale).toInt),
-    kg = KGSpec(nItems = 40, nFeatures = 0, nBrands = 0, nCategories = 32, nTags = 24,
-      featuresPerItem = 0, tagsPerItem = 4, sixType = false, crossShare = 0.5,
-      tagAffinity = 0.85, seed = 81L),
-    metaGraphs = MetaGraph.threeTypeSet,
-    importanceMode = ImportanceMode.Price,
-    budget = budget,
-    T = t,
-    params = liteParams,
-    costScale = 0.1,
-    socialSeed = 91L)
+  def yelpLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig =
+    lite("yelp-lite", 600, 4800,
+      KGSpec(nItems = 24, nFeatures = 32, nBrands = 10, nCategories = 6, nTags = 24,
+        featuresPerItem = 4, tagsPerItem = 3, sixType = true, crossShare = 0.45, seed = 61L),
+      ImportanceMode.Price, socialSeed = 71L)(budget, t, scale)
 
-  def gowallaLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig = DatasetConfig(
-    name = "gowalla-lite",
-    nUsers = math.max(50, (1000 * scale).toInt),
-    nEdges = math.max(200, (8000 * scale).toInt),
-    kg = KGSpec(nItems = 32, nFeatures = 0, nBrands = 0, nCategories = 12, nTags = 30,
-      featuresPerItem = 0, tagsPerItem = 3, sixType = false, crossShare = 0.5,
-      tagAffinity = 0.4, seed = 111L),
-    metaGraphs = MetaGraph.threeTypeSet,
-    importanceMode = ImportanceMode.UniformRandom,
-    budget = budget,
-    T = t,
-    params = liteParams,
-    costScale = 0.1,
-    socialSeed = 121L)
+  def doubanLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig =
+    lite("douban-lite", 1400, 11000,
+      KGSpec(nItems = 40, nFeatures = 0, nBrands = 0, nCategories = 32, nTags = 24,
+        featuresPerItem = 0, tagsPerItem = 4, sixType = false, crossShare = 0.5,
+        tagAffinity = 0.85, seed = 81L),
+      ImportanceMode.Price, socialSeed = 91L)(budget, t, scale)
+
+  def gowallaLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): DatasetConfig =
+    lite("gowalla-lite", 1000, 8000,
+      KGSpec(nItems = 32, nFeatures = 0, nBrands = 0, nCategories = 12, nTags = 30,
+        featuresPerItem = 0, tagsPerItem = 3, sixType = false, crossShare = 0.5,
+        tagAffinity = 0.4, seed = 111L),
+      ImportanceMode.UniformRandom, socialSeed = 121L)(budget, t, scale)
 
   /** All four large families in the paper's Fig. 6(h) order (by #users). */
   def allLite(budget: Double = 40, t: Int = 5, scale: Double = 1.0): Vector[DatasetConfig] =
     Vector(yelpLite(budget, t, scale), amazonLite(budget, t, scale),
       gowallaLite(budget, t, scale), doubanLite(budget, t, scale))
+
+  /** The family called `name` (amazon-small or one of the four lite
+    * families, at full scale).
+    */
+  def byName(name: String, budget: Double, t: Int): DatasetConfig =
+    (amazonSmall(budget, t) +: allLite(budget, t)).find(_.name == name)
+      .getOrElse(throw new IllegalArgumentException(s"unknown dataset: $name"))
 }

@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base of the suites that need Spark, sharing one local-mode
@@ -15,10 +14,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * self-joins run as shuffle joins even on test-sized inputs, the plan
   * they take on inputs too large to broadcast.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

@@ -51,6 +51,28 @@ class DatasetGenSpec extends AnyFunSuite {
     assert(half.nItems == full.nItems, "item catalog does not scale")
   }
 
+  test("byName returns each of the five families, equal to its direct call, and rejects an unknown name") {
+    val direct = Seq(DatasetGen.amazonSmall(4.0, 2), DatasetGen.amazonLite(4.0, 2), DatasetGen.yelpLite(4.0, 2),
+      DatasetGen.doubanLite(4.0, 2), DatasetGen.gowallaLite(4.0, 2))
+    direct.foreach(cfg => assert(DatasetGen.byName(cfg.name, 4.0, 2) == cfg, cfg.name))
+    val e = intercept[IllegalArgumentException](DatasetGen.byName("amazon", 4.0, 2))
+    assert(e.getMessage.contains("amazon"), e.getMessage)
+  }
+
+  test("every lite family has at least 50 users and 200 edges at any scale, liteParams and cost scale 0.1") {
+    // (family, users at scale 1, edges at scale 1)
+    val families = Seq[(Double => DatasetConfig, Int, Int)](
+      (s => DatasetGen.amazonLite(scale = s), 800, 6400), (s => DatasetGen.yelpLite(scale = s), 600, 4800),
+      (s => DatasetGen.doubanLite(scale = s), 1400, 11000), (s => DatasetGen.gowallaLite(scale = s), 1000, 8000))
+    for ((family, users, edges) <- families; scale <- Seq(0.0, 0.0625, 1.0)) {
+      val cfg = family(scale)
+      val clue = s"${cfg.name} at scale $scale"
+      assert(cfg.nUsers == math.max(50, math.floor(users * scale).toInt), clue)
+      assert(cfg.nEdges == math.max(200, math.floor(edges * scale).toInt), clue)
+      assert(cfg.params == DatasetGen.liteParams && cfg.costScale == 0.1, clue)
+    }
+  }
+
   // construction-time validation: one test per rejected field, each case
   // failing in the constructor with the field's name in the message
   private val kg6 = DatasetGen.amazonLite().kg

@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.Seed
+import repro.core.{ProblemInstance, Seed}
 import repro.diffusion.LocalDiffusion
 import repro.kg.{KGGenerator, RelevanceEngine}
 import repro.social.SocialGen
@@ -49,23 +49,44 @@ class InstanceBuilderSpec extends SparkSpec {
     assert(inst.sMeta.exists(m => inst.metaPairs(m).nonEmpty), "some substitutable relevance")
   }
 
-  test("build equals fromParts over the per-meta-graph relevance matrices") {
+  /** Every field of `got` equals `want`'s, arrays element by element. */
+  private def assertSameInstance(got: ProblemInstance, want: ProblemInstance, clue: String): Unit = {
     def same(a: Array[_ <: AnyRef], b: Array[_ <: AnyRef]) =
       java.util.Arrays.deepEquals(a.asInstanceOf[Array[AnyRef]], b.asInstanceOf[Array[AnyRef]])
+    assert(got.nUsers == want.nUsers && got.nItems == want.nItems && got.itemNames == want.itemNames, clue)
+    assert(got.metaKinds == want.metaKinds && got.budget == want.budget && got.T == want.T &&
+      got.params == want.params, clue)
+    assert(java.util.Arrays.equals(got.importance, want.importance), clue)
+    assert(same(got.inNbr, want.inNbr) && same(got.inAct, want.inAct) && same(got.outNbr, want.outNbr), clue)
+    assert(same(got.basePref, want.basePref) && same(got.cost, want.cost), clue)
+    assert(same(got.metaS.toArray, want.metaS.toArray), clue)
+  }
+
+  test("build equals fromParts over the per-meta-graph relevance matrices") {
     Seq(smallCfg, DatasetGen.amazonLite(budget = 3, scale = 0.0)).foreach { cfg =>
       val kgEdges = KGGenerator.edges(spark, cfg.kg)
       val metaS = cfg.metaGraphs.map(m =>
         RelevanceEngine.collectMatrix(RelevanceEngine.relevance(kgEdges, m), cfg.nItems))
       val edgePairs = SocialGen.collectEdges(SocialGen.edges(spark, cfg.nUsers, cfg.nEdges, cfg.socialSeed))
       val want = InstanceBuilder.fromParts(cfg, edgePairs, metaS)
-      val got = InstanceBuilder.build(spark, cfg)
-      assert(got.nUsers == want.nUsers && got.nItems == want.nItems && got.itemNames == want.itemNames, cfg.name)
-      assert(got.metaKinds == want.metaKinds && got.budget == want.budget && got.T == want.T &&
-        got.params == want.params, cfg.name)
-      assert(java.util.Arrays.equals(got.importance, want.importance), cfg.name)
-      assert(same(got.inNbr, want.inNbr) && same(got.inAct, want.inAct) && same(got.outNbr, want.outNbr), cfg.name)
-      assert(same(got.basePref, want.basePref) && same(got.cost, want.cost), cfg.name)
-      assert(same(got.metaS.toArray, want.metaS.toArray), cfg.name)
+      assertSameInstance(InstanceBuilder.build(spark, cfg), want, cfg.name)
+    }
+  }
+
+  // Spark-free: the benches build a dataset once and sweep T with withT
+  test("fromParts with another T equals fromParts' instance withT") {
+    val rnd = new scala.util.Random(5)
+    Seq(smallCfg, DatasetGen.doubanLite(budget = 10.0, scale = 0.0)).foreach { cfg =>
+      val edges = Seq.fill(cfg.nEdges)((rnd.nextInt(cfg.nUsers), rnd.nextInt(cfg.nUsers))).filter { case (s, d) => s != d }
+      val metaS = cfg.metaGraphs.map { _ =>
+        val m = Array.ofDim[Double](cfg.nItems, cfg.nItems)
+        for (x <- 0 until cfg.nItems; y <- x + 1 until cfg.nItems) { m(x)(y) = rnd.nextDouble(); m(y)(x) = m(x)(y) }
+        m
+      }
+      val base = InstanceBuilder.fromParts(cfg, edges, metaS)
+      Seq(1, 2, 4, 10).foreach { t =>
+        assertSameInstance(InstanceBuilder.fromParts(cfg.copy(T = t), edges, metaS), base.withT(t), s"${cfg.name} T=$t")
+      }
     }
   }
 
