@@ -35,6 +35,7 @@ object BenchHarness {
     }
   }
 
+  /** Dysim alone (T-7a, T-7b and the first contender). */
   def dysim(inst: ProblemInstance, cfg: TMI.Config): AlgoRun = runAlgo("Dysim", inst)(i => Some(Dysim.run(i, cfg)))
 
   /** The standard four contenders of Figs. 5-6. */
